@@ -198,22 +198,22 @@ DEFAULT_CONTROLLER = ControllerConfig()
 class Engine:
     """The implementations every dual-engine entry point accepts.
 
-    ``"fast"`` selects the vectorised kernels (numpy placers, batched
-    queueing RNG, memoisation); ``"reference"`` selects the frozen
-    scalar copies in :mod:`repro.model.reference` and
-    :mod:`repro.sim.reference`; ``"batch"`` is the fast engine plus the
-    multi-mix batch axis (one Lindley scan advances every mix's queue,
-    sub-epoch value-keyed memoisation — see :mod:`repro.model.batch`).
-    All are differentially tested to be bit-identical.
-    ``PlacementContext.engine``, ``SystemModel(engine=...)``, and the
-    trace-sim cells all validate through :meth:`validate`, so an
-    unknown literal fails the same way everywhere.
+    ``"fast"`` selects the accelerated engine: numpy placer kernels,
+    batched queueing RNG, one fused Lindley scan per epoch over every
+    LC queue (across all mixes under
+    :class:`~repro.model.batch.BatchSystemModel`), and placement
+    memoisation. ``"reference"`` selects the frozen scalar copies in
+    :mod:`repro.model.reference` and :mod:`repro.sim.reference`, the
+    oracle the fast engine is differentially tested against to be
+    bit-identical. ``PlacementContext.engine``,
+    ``SystemModel(engine=...)``, and the trace-sim cells all validate
+    through :meth:`validate`, so an unknown literal fails the same way
+    everywhere.
     """
 
     FAST = "fast"
     REFERENCE = "reference"
-    BATCH = "batch"
-    CHOICES = (FAST, REFERENCE, BATCH)
+    CHOICES = (FAST, REFERENCE)
 
     @classmethod
     def accelerated(cls, value: str) -> bool:
@@ -316,10 +316,6 @@ class Settings:
     bench_mixes: Optional[int] = None
     #: ``REPRO_BENCH_EPOCHS`` — default ``bench --suite model`` epochs.
     bench_epochs: Optional[int] = None
-    #: ``REPRO_SHM_ARENA_BYTES`` — shared-memory result arena size for
-    #: parallel sweeps (0 disables the arena; results then travel
-    #: through the pool pipe as pickles).
-    shm_arena_bytes: Optional[int] = None
     #: ``REPRO_SERVE_HOST`` — default bind address for ``repro serve``.
     serve_host: Optional[str] = None
     #: ``REPRO_SERVE_PORT`` — default port for ``repro serve`` (0 asks
@@ -375,7 +371,6 @@ class Settings:
             fleet_checkpoint=_clean(env, "REPRO_FLEET_CHECKPOINT"),
             bench_mixes=_positive_int(env, "REPRO_BENCH_MIXES"),
             bench_epochs=_positive_int(env, "REPRO_BENCH_EPOCHS"),
-            shm_arena_bytes=_nonneg_int(env, "REPRO_SHM_ARENA_BYTES"),
             serve_host=_clean(env, "REPRO_SERVE_HOST"),
             serve_port=_nonneg_int(env, "REPRO_SERVE_PORT"),
             serve_max_body=_positive_int(env, "REPRO_SERVE_MAX_BODY"),

@@ -77,7 +77,7 @@ class PlacementContext:
         """A fresh :class:`~repro.core.allocation.Allocation` for this
         context's engine.
 
-        Accelerated engines get an allocation with incremental bank
+        The fast engine gets an allocation with incremental bank
         totals and derived-stat memos enabled; the reference engine gets
         the plain recompute-everything object.
         """

@@ -119,7 +119,7 @@ class JumanjiRuntime:
         #: Memo statistics for benchmarks/tests.
         self.memo_hits = 0
         self.memo_misses = 0
-        # Sub-epoch memoisation (accelerated engines only, same gate as
+        # Sub-epoch memoisation (fast engine only, same gate as
         # the placement memo): placement descriptors are pure functions
         # of an app's per-bank allocation *vector*, and — because IEEE
         # division of ``c`` by an exact small-integer multiple ``B*c``
@@ -204,7 +204,7 @@ class JumanjiRuntime:
 
         Equivalent to reporting each sample in order — per-sample
         sanitization (and its structured drop events) is preserved.
-        Under accelerated engines (same gate as the placement memo), a
+        Under the fast engine (same gate as the placement memo), a
         batch that numpy-validates clean — every sample finite and
         non-negative, the overwhelmingly common case — is ingested in
         bulk through
@@ -285,7 +285,7 @@ class JumanjiRuntime:
     ) -> PlacementDescriptor:
         """``allocation.descriptor_for(app)``, value-memoised.
 
-        Only with memoisation enabled (the accelerated engines; the
+        Only with memoisation enabled (the fast engine; the
         reference engine rebuilds descriptors every epoch). The key is
         the app's exact per-bank MB vector — or, for uniform vectors,
         the bank set alone: with all ``B`` quotas equal, largest-

@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import Engine, Settings, SystemConfig
 from ..metrics.speedup import gmean, weighted_speedup
-from ..model.system import RunResult, _run_design
+from ..model.system import RunResult, _run_single
 from ..model.workload import WorkloadSpec, make_default_workload
 from ..noc.energy import EnergyBreakdown
 from ..runner import (
@@ -44,7 +44,6 @@ __all__ = [
     "num_mixes",
     "num_epochs",
     "run_seed",
-    "run_workload",
     "run_sweep",
     "cached_workload_outcome",
     "baseline_cell",
@@ -245,7 +244,7 @@ def config_from_params(
     return SystemConfig(**params)
 
 
-def _run_workload(
+def _run_lc_cell(
     design: str,
     lc_workload: str,
     load: str,
@@ -254,16 +253,15 @@ def _run_workload(
     config: Optional[SystemConfig] = None,
     baseline_ipcs: Optional[Mapping[str, float]] = None,
     base_seed: int = 0,
-    engine: str = Engine.BATCH,
+    engine: str = Engine.FAST,
     **design_kwargs,
 ) -> Tuple[WorkloadOutcome, RunResult, Dict[str, float]]:
     """Run one sweep cell; returns (outcome, raw result, batch IPCs).
 
     ``baseline_ipcs`` are the Static IPCs used to compute weighted
     speedup; when omitted a Static run is performed first (and returned
-    as the third element for reuse). ``engine`` defaults to the batch
-    engine (fused queueing kernel + accelerated placers); all engines
-    are bit-identical, so cached sweep results are engine-agnostic.
+    as the third element for reuse). Both engines are bit-identical, so
+    cached sweep results are engine-agnostic.
     """
     epochs = epochs if epochs is not None else num_epochs()
     seed = run_seed(base_seed, mix_seed)
@@ -272,12 +270,12 @@ def _run_workload(
         lc_apps, mix_seed=mix_seed, load=load, config=config
     )
     if baseline_ipcs is None:
-        static = _run_design(
+        static = _run_single(
             "Static", workload, num_epochs=epochs, seed=seed,
             engine=engine,
         )
         baseline_ipcs = static.batch_ipcs()
-    result = _run_design(
+    result = _run_single(
         design, workload, num_epochs=epochs, seed=seed,
         engine=engine,
         **design_kwargs,
@@ -297,42 +295,6 @@ def _run_workload(
         avg_lc_size_mb=result.avg_lc_size(),
     )
     return outcome, result, dict(baseline_ipcs)
-
-
-def run_workload(
-    design: str,
-    lc_workload: str,
-    load: str,
-    mix_seed: int,
-    epochs: Optional[int] = None,
-    config: Optional[SystemConfig] = None,
-    baseline_ipcs: Optional[Mapping[str, float]] = None,
-    base_seed: int = 0,
-    engine: str = Engine.BATCH,
-    **design_kwargs,
-) -> Tuple[WorkloadOutcome, RunResult, Dict[str, float]]:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., lc_workload=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ..model._deprecation import warn_once
-
-    warn_once(
-        "run_workload", "run_model(design=..., lc_workload=...)"
-    )
-    return _run_workload(
-        design,
-        lc_workload,
-        load,
-        mix_seed,
-        epochs=epochs,
-        config=config,
-        baseline_ipcs=baseline_ipcs,
-        base_seed=base_seed,
-        engine=engine,
-        **design_kwargs,
-    )
 
 
 # -- sweep cells (see repro.runner) ------------------------------------------
@@ -400,12 +362,11 @@ def _baseline_handler(
         load=load,
         config=config_from_params(config),
     )
-    static = _run_design(
+    static = _run_single(
         "Static",
         workload,
         num_epochs=epochs,
         seed=run_seed(base_seed, mix_seed),
-        engine=Engine.BATCH,
     )
     return static.batch_ipcs()
 
@@ -427,7 +388,7 @@ def _workload_handler(
             lc_workload, load, mix_seed, epochs, base_seed, config
         )
     )
-    outcome, _result, _ipcs = _run_workload(
+    outcome, _result, _ipcs = _run_lc_cell(
         design,
         lc_workload,
         load,

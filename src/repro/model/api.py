@@ -1,13 +1,5 @@
 """The unified model entry point: one call, ``engine=`` dispatch.
 
-Historically the package grew three overlapping front doors —
-``run_design`` (one workload), ``run_design_batch`` (many workloads,
-fused engine), and ``experiments.common.run_workload`` (a named LC
-workload plus the speedup/tail/energy bookkeeping of a sweep cell).
-:func:`run_model` consolidates them behind one keyword-only signature;
-the old names remain as thin deprecated aliases that warn once per
-process.
-
 Exactly one of ``workload`` / ``workloads`` / ``lc_workload`` selects
 the mode, and the return type follows it:
 
@@ -15,26 +7,41 @@ the mode, and the return type follows it:
 argument                returns
 ======================= ==========================================
 ``workload=``           :class:`~repro.model.system.RunResult`
-``workloads=``          ``List[RunResult]`` (batched engine)
+``workloads=``          ``List[RunResult]`` (batched over mixes)
 ``lc_workload=``        ``(WorkloadOutcome, RunResult, ipcs)`` —
                         the sweep-cell triple
 ======================= ==========================================
 
-``engine`` defaults to the mode's historical engine (``fast`` for a
-single workload, ``batch`` otherwise); all engines are bit-identical,
-so the choice is purely a performance knob.
+``engine`` defaults to ``fast``; ``reference`` runs the frozen scalar
+oracle, which is bit-identical and has no batched form. An optional
+argument the chosen mode does not use raises
+:class:`~repro.errors.ConfigError` naming it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..config import ControllerConfig, Engine, SystemConfig
 from ..errors import ConfigError
-from .system import RunResult, _run_design
+from .system import _run_single
 from .workload import WorkloadSpec
 
 __all__ = ["run_model"]
+
+#: The optional arguments each mode uses.
+_MODE_ARGS = {
+    "workload": (
+        "epochs", "seed", "controller_config", "engine", "design_kwargs",
+    ),
+    "workloads": (
+        "epochs", "seeds", "controller_config", "engine", "design_kwargs",
+    ),
+    "lc_workload": (
+        "load", "mix_seed", "config", "baseline_ipcs", "epochs",
+        "base_seed", "engine", "design_kwargs",
+    ),
+}
 
 
 def run_model(
@@ -43,14 +50,14 @@ def run_model(
     workload: Optional[WorkloadSpec] = None,
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     lc_workload: Optional[str] = None,
-    load: str = "high",
-    mix_seed: int = 0,
+    load: Optional[str] = None,
+    mix_seed: Optional[int] = None,
     config: Optional[SystemConfig] = None,
     baseline_ipcs: Optional[Mapping[str, float]] = None,
     epochs: Optional[int] = None,
     seed: Optional[int] = None,
     seeds: Optional[Sequence[int]] = None,
-    base_seed: int = 0,
+    base_seed: Optional[int] = None,
     controller_config: Optional[ControllerConfig] = None,
     engine: Optional[str] = None,
     design_kwargs: Optional[Dict[str, Any]] = None,
@@ -59,39 +66,57 @@ def run_model(
 
     * ``workload=`` — one :class:`~repro.model.workload.WorkloadSpec`;
       honours ``epochs`` (default 20) and ``seed`` (default 0).
-    * ``workloads=`` — a sequence of specs through the fused batch
-      engine; honours ``epochs`` and per-mix ``seeds``.
+    * ``workloads=`` — a sequence of specs advanced in lockstep by
+      :class:`~repro.model.batch.BatchSystemModel`; honours ``epochs``
+      and per-mix ``seeds``. Fast engine only.
     * ``lc_workload=`` — a named LC workload (``"xapian"``, ...,
-      ``"Mixed"``); builds the paper's default mix from ``load`` /
-      ``mix_seed`` / ``config`` and returns the sweep-cell triple
-      ``(outcome, result, baseline_ipcs)``. ``epochs`` defaults to the
-      ``REPRO_EPOCHS`` setting and the cell seed is derived from
-      ``base_seed`` / ``mix_seed``.
+      ``"Mixed"``); builds the paper's default mix from ``load``
+      (default ``"high"``) / ``mix_seed`` (default 0) / ``config`` and
+      returns the sweep-cell triple ``(outcome, result,
+      baseline_ipcs)``. ``epochs`` defaults to the ``REPRO_EPOCHS``
+      setting and the cell seed is derived from ``base_seed``
+      (default 0) / ``mix_seed``.
 
     ``design_kwargs`` are forwarded to
     :func:`~repro.core.designs.make_design` (sensitivity variants).
     """
-    chosen = [
-        name
-        for name, value in (
-            ("workload", workload),
-            ("workloads", workloads),
-            ("lc_workload", lc_workload),
-        )
-        if value is not None
-    ]
+    selectors = {
+        "workload": workload,
+        "workloads": workloads,
+        "lc_workload": lc_workload,
+    }
+    chosen = [name for name, value in selectors.items() if value is not None]
     if len(chosen) != 1:
         raise ConfigError(
             "run_model needs exactly one of workload=, workloads=, "
             f"lc_workload=; got {chosen or 'none'}"
         )
+    mode = chosen[0]
+    optional = {
+        "load": load,
+        "mix_seed": mix_seed,
+        "config": config,
+        "baseline_ipcs": baseline_ipcs,
+        "epochs": epochs,
+        "seed": seed,
+        "seeds": seeds,
+        "base_seed": base_seed,
+        "controller_config": controller_config,
+        "engine": engine,
+        "design_kwargs": design_kwargs,
+    }
+    for name, value in optional.items():
+        if value is not None and name not in _MODE_ARGS[mode]:
+            raise ConfigError(
+                f"run_model: {name}= does not apply to {mode}= mode"
+            )
+    engine = Engine.validate(
+        engine if engine is not None else Engine.FAST, source="run_model"
+    )
     kwargs = dict(design_kwargs) if design_kwargs else {}
 
     if workload is not None:
-        if engine is None:
-            engine = Engine.FAST
-        engine = Engine.validate(engine, source="run_model")
-        return _run_design(
+        return _run_single(
             design,
             workload,
             num_epochs=epochs if epochs is not None else 20,
@@ -102,46 +127,34 @@ def run_model(
         )
 
     if workloads is not None:
-        from .batch import _run_design_batch
+        from .batch import BatchSystemModel
 
-        if engine is None:
-            engine = Engine.BATCH
-        engine = Engine.validate(engine, source="run_model")
-        return _run_design_batch(
+        if engine != Engine.FAST:
+            raise ConfigError(
+                f"run_model: engine={engine!r} does not apply to "
+                "workloads= mode (the batch driver runs the fast engine)"
+            )
+        return BatchSystemModel(
             design,
             workloads,
-            num_epochs=epochs if epochs is not None else 20,
             seeds=list(seeds) if seeds is not None else None,
             controller_config=controller_config,
-            engine=engine,
             **kwargs,
-        )
+        ).run(epochs if epochs is not None else 20)
 
     # Named LC workload: the sweep-cell path. Imported lazily — the
     # experiments package imports this module's neighbours.
-    from ..experiments.common import _run_workload
+    from ..experiments.common import _run_lc_cell
 
-    if seeds is not None:
-        raise ConfigError(
-            "seeds= applies to workloads=; use base_seed/mix_seed "
-            "with lc_workload="
-        )
-    if controller_config is not None:
-        raise ConfigError(
-            "controller_config= applies to workload=/workloads= modes"
-        )
-    if engine is None:
-        engine = Engine.BATCH
-    engine = Engine.validate(engine, source="run_model")
-    return _run_workload(
+    return _run_lc_cell(
         design,
         lc_workload,
-        load,
-        mix_seed,
+        load if load is not None else "high",
+        mix_seed if mix_seed is not None else 0,
         epochs=epochs,
         config=config,
         baseline_ipcs=baseline_ipcs,
-        base_seed=base_seed,
+        base_seed=base_seed if base_seed is not None else 0,
         engine=engine,
         **kwargs,
     )

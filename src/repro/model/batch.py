@@ -30,7 +30,7 @@ from ..sim.queueing import run_epoch_batch
 from .system import RunResult, SystemModel
 from .workload import WorkloadSpec
 
-__all__ = ["BatchStageTimes", "BatchSystemModel", "run_design_batch"]
+__all__ = ["BatchStageTimes", "BatchSystemModel"]
 
 
 @dataclass
@@ -66,9 +66,9 @@ class BatchSystemModel:
     ``seeds`` gives each mix's simulation seed (defaults to ``0`` for
     every mix); results are bit-identical to
     ``SystemModel(design, workloads[i], seed=seeds[i]).run(...)`` per
-    mix. The reference engine is refused: it exists to stay a scalar
-    baseline, and batching it would leave nothing to differentially
-    test the batch kernels against.
+    mix. It always runs the fast engine: the reference engine stays a
+    per-mix scalar baseline, so the batch kernels have something to be
+    differentially tested against.
     """
 
     def __init__(
@@ -77,23 +77,15 @@ class BatchSystemModel:
         workloads: Sequence[WorkloadSpec],
         seeds: Optional[Sequence[int]] = None,
         controller_config: Optional[ControllerConfig] = None,
-        engine: str = Engine.BATCH,
         epoch_cycles: int = RECONFIG_INTERVAL_CYCLES,
         **design_kwargs,
     ):
-        engine = Engine.validate(engine, source="BatchSystemModel")
-        if not Engine.accelerated(engine):
-            raise ValueError(
-                "BatchSystemModel requires an accelerated engine "
-                "(the reference engine is the scalar baseline)"
-            )
         if seeds is None:
             seeds = [0] * len(workloads)
         if len(seeds) != len(workloads):
             raise ValueError(
                 f"{len(workloads)} workloads but {len(seeds)} seeds"
             )
-        self.engine = engine
         #: Per-mix models; each holds its own design instance so
         #: design-level state (feedback, memos) never leaks across mixes.
         self.models: List[SystemModel] = [
@@ -103,7 +95,7 @@ class BatchSystemModel:
                 seed=seed,
                 controller_config=controller_config,
                 epoch_cycles=epoch_cycles,
-                engine=engine,
+                engine=Engine.FAST,
             )
             for workload, seed in zip(workloads, seeds)
         ]
@@ -171,58 +163,3 @@ class BatchSystemModel:
         return [
             m._run_result(s) for m, s in zip(self.models, states)
         ]
-
-
-def _run_design_batch(
-    design_name: str,
-    workloads: Sequence[WorkloadSpec],
-    num_epochs: int = 20,
-    seeds: Optional[Sequence[int]] = None,
-    controller_config: Optional[ControllerConfig] = None,
-    engine: str = Engine.BATCH,
-    **design_kwargs,
-) -> List[RunResult]:
-    """Run one design over many mixes, batched (internal impl).
-
-    Per-mix results are bit-identical to the single-workload path with
-    the same seed.
-    """
-    model = BatchSystemModel(
-        design_name,
-        workloads,
-        seeds=seeds,
-        controller_config=controller_config,
-        engine=engine,
-        **design_kwargs,
-    )
-    return model.run(num_epochs)
-
-
-def run_design_batch(
-    design_name: str,
-    workloads: Sequence[WorkloadSpec],
-    num_epochs: int = 20,
-    seeds: Optional[Sequence[int]] = None,
-    controller_config: Optional[ControllerConfig] = None,
-    engine: str = Engine.BATCH,
-    **design_kwargs,
-) -> List[RunResult]:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., workloads=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ._deprecation import warn_once
-
-    warn_once(
-        "run_design_batch", "run_model(design=..., workloads=...)"
-    )
-    return _run_design_batch(
-        design_name,
-        workloads,
-        num_epochs=num_epochs,
-        seeds=seeds,
-        controller_config=controller_config,
-        engine=engine,
-        **design_kwargs,
-    )

@@ -68,7 +68,6 @@ __all__ = [
     "SystemModel",
     "compute_deadline_cycles",
     "deadline_cache_info",
-    "run_design",
 ]
 
 
@@ -416,9 +415,10 @@ class SystemModel:
     # The epoch is split into three phases so a batch driver
     # (:mod:`repro.model.batch`) can interleave many models:
     # ``_epoch_begin`` (placement + service-time computation),
-    # the LC queueing simulation (``_epoch_sim`` here; one fused
-    # :func:`~repro.sim.queueing.run_epoch_batch` call across all mixes
-    # in the batch engine), and ``_epoch_finish`` (feedback, tails,
+    # the LC queueing simulation (``_epoch_sim`` here; the fast engine
+    # makes one fused :func:`~repro.sim.queueing.run_epoch_batch` call,
+    # over this model's LC queues or, in the batch driver, over every
+    # mix's), and ``_epoch_finish`` (feedback, tails,
     # batch IPCs, vulnerability, energy). Phase boundaries only reorder
     # operations that are independent — every per-app computation
     # sequence is unchanged, so results stay bit-identical to the
@@ -483,7 +483,7 @@ class SystemModel:
     def _epoch_sim(self, prep: "_EpochPrep") -> Dict[str, List[float]]:
         """Phase 2: advance every LC queueing simulator by one epoch."""
         apps = self.workload.lc_apps
-        if self.engine == Engine.BATCH and apps:
+        if Engine.accelerated(self.engine) and apps:
             results = run_epoch_batch(
                 [self._lc_sims[a] for a in apps],
                 self.epoch_cycles,
@@ -612,13 +612,13 @@ class _RunState:
     all_latencies: Dict[str, List[float]] = field(default_factory=dict)
 
 
-def _run_design(
+def _run_single(
     design_name: str,
     workload: WorkloadSpec,
     num_epochs: int = 20,
     seed: int = 0,
     controller_config: Optional[ControllerConfig] = None,
-    engine: str = "fast",
+    engine: str = Engine.FAST,
     **design_kwargs,
 ) -> RunResult:
     """Build and run one design against a workload (internal impl)."""
@@ -631,31 +631,3 @@ def _run_design(
         engine=engine,
     )
     return model.run(num_epochs)
-
-
-def run_design(
-    design_name: str,
-    workload: WorkloadSpec,
-    num_epochs: int = 20,
-    seed: int = 0,
-    controller_config: Optional[ControllerConfig] = None,
-    engine: str = "fast",
-    **design_kwargs,
-) -> RunResult:
-    """Deprecated alias for :func:`repro.model.api.run_model`.
-
-    Use ``run_model(design=..., workload=...)``; this wrapper warns
-    once per process and delegates unchanged.
-    """
-    from ._deprecation import warn_once
-
-    warn_once("run_design", "run_model(design=..., workload=...)")
-    return _run_design(
-        design_name,
-        workload,
-        num_epochs=num_epochs,
-        seed=seed,
-        controller_config=controller_config,
-        engine=engine,
-        **design_kwargs,
-    )

@@ -24,8 +24,8 @@ from repro.experiments import (
 from repro.experiments.common import (
     box_stats,
     run_sweep,
-    run_workload,
 )
+from repro.model.api import run_model
 from repro.sim.attack import PortAttackConfig
 
 
@@ -42,12 +42,12 @@ class TestCommon:
             box_stats([])
 
     def test_run_workload_reuses_baseline(self):
-        outcome, _result, baseline = run_workload(
-            "Jumanji", "xapian", "high", 0, epochs=6
+        outcome, _result, baseline = run_model(
+            design="Jumanji", lc_workload="xapian", epochs=6
         )
         assert outcome.speedup > 0
-        outcome2, _r, _b = run_workload(
-            "Jumanji", "xapian", "high", 0, epochs=6,
+        outcome2, _r, _b = run_model(
+            design="Jumanji", lc_workload="xapian", epochs=6,
             baseline_ipcs=baseline,
         )
         assert outcome2.speedup == pytest.approx(outcome.speedup)

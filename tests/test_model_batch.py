@@ -1,13 +1,13 @@
-"""Batched multi-mix engine equivalence tests.
+"""Batched multi-mix driver equivalence tests.
 
-The batch engine's contract is bit-identity: ``run_epoch_batch`` must
+The batch kernel's contract is bit-identity: ``run_epoch_batch`` must
 produce, per simulator, exactly what ``LcRequestSimulator.run_epoch``
 produces — same latencies, same stream consumption, same carried
 backlog — across ragged backlog sizes, empty batches, and single-epoch
 runs; and ``BatchSystemModel`` must reproduce per-mix ``SystemModel``
 runs observable-for-observable. Hypothesis drives the kernel-level
-property; the end-to-end tests pin the whole engine against both the
-fast and the frozen reference engines.
+property; the end-to-end tests pin the batch driver against per-mix
+runs of the fast engine and of the frozen reference engine.
 """
 
 import copy
@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.designs import make_design
-from repro.model.batch import BatchSystemModel, run_design_batch
+from repro.errors import ConfigError
+from repro.model.api import run_model
+from repro.model.batch import BatchSystemModel
 from repro.model.system import SystemModel
 from repro.model.workload import make_default_workload
 from repro.sim.queueing import LcRequestSimulator, run_epoch_batch
@@ -206,18 +208,20 @@ class TestBatchSystemModel:
         assert batch.stage_times.total() >= 0.0
 
     def test_reference_engine_refused(self):
-        with pytest.raises(ValueError, match="accelerated"):
-            BatchSystemModel(
-                "Static", _workloads([0]), engine="reference"
+        with pytest.raises(ConfigError, match="engine"):
+            run_model(
+                design="Static", workloads=_workloads([0]),
+                engine="reference",
             )
 
     def test_seed_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="seeds"):
             BatchSystemModel("Static", _workloads([0, 1]), seeds=[1])
 
-    def test_run_design_batch_convenience(self):
-        got = run_design_batch(
-            "Static", _workloads([0, 1]), seeds=[7, 8], num_epochs=2
+    def test_run_model_workloads_convenience(self):
+        got = run_model(
+            design="Static", workloads=_workloads([0, 1]), seeds=[7, 8],
+            epochs=2,
         )
         for m, seed, res in zip([0, 1], [7, 8], got):
             solo = SystemModel(

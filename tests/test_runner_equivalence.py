@@ -1,12 +1,21 @@
 """Runner equivalence: parallel, serial, and cache-warm runs are
-bit-identical, and the content-addressed cache invalidates at exactly
-cell granularity.
+bit-identical, results travel from workers through the pool pipe
+alone, and the content-addressed cache invalidates at exactly cell
+granularity.
 
 These tests run a reduced Fig. 13 sweep (one LC workload, one load,
 two designs, 8 mixes, 2 epochs) so they stay fast while still going
 through the full runner path: baseline cells, nested ``get_or_compute``,
 the fork pool, and the on-disk cache.
 """
+
+import json
+import os
+import pathlib
+import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -17,6 +26,7 @@ from repro.runner import (
     SweepRunner,
     cell_key,
     collecting_stats,
+    register_cell_kind,
 )
 
 DESIGNS = ("Static", "Jumanji")
@@ -27,6 +37,18 @@ SCALE = dict(
     mixes=8,
     epochs=2,
 )
+
+
+@register_cell_kind("odd_payload")
+def _odd_payload(x):
+    # Oddly shaped enough to catch serialization slips on the way back
+    # from a worker: nested containers, floats, bytes.
+    return {
+        "x": x,
+        "nested": [[x, [float(x) / 3.0]], {"k": (x, None)}],
+        "vec": [float(i) * 0.5 for i in range(256)],
+        "tag": bytes([x % 256]) * 32,
+    }
 
 
 def _small_sweep(jobs):
@@ -75,6 +97,73 @@ class TestEquivalence:
             for o in sweep.outcomes
         ]
         assert got == expected
+
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [
+                workload_cell("Jumanji", "xapian", "high", m, epochs=2)
+                for m in range(3)
+            ],
+            [Cell("odd_payload", {"x": i}) for i in range(6)],
+        ],
+        ids=["sweep", "odd_payload"],
+    )
+    def test_jobs1_and_jobs2_byte_identical(self, tmp_path, cells):
+        serial = SweepRunner(jobs=1, cache=ResultCache(tmp_path / "s"))
+        parallel = SweepRunner(jobs=2, cache=ResultCache(tmp_path / "p"))
+        # Pickled per result: serial results may share objects across
+        # cells (one pickle memo entry), worker results never do.
+        assert [pickle.dumps(r) for r in serial.map(cells)] == [
+            pickle.dumps(r) for r in parallel.map(cells)
+        ]
+
+
+_NO_SHARED_MEMORY_PROBE = textwrap.dedent(
+    """
+    import json, os, sys, tempfile
+    from multiprocessing import resource_tracker
+    from repro.runner import Cell, ResultCache, SweepRunner, register_cell_kind
+
+    @register_cell_kind("dev_shm_listing")
+    def _listing(i):
+        # Runs in a worker while the sweep is live.
+        return sorted(os.listdir("/dev/shm"))
+
+    before = set(os.listdir("/dev/shm"))
+    with tempfile.TemporaryDirectory() as tmp:
+        runner = SweepRunner(jobs=2, cache=ResultCache(tmp))
+        seen = runner.map([Cell("dev_shm_listing", {"i": i}) for i in range(4)])
+    json.dump({
+        "tracker_started": resource_tracker._resource_tracker._pid is not None,
+        "new_segments": sorted(set().union(*map(set, seen)) - before),
+        "last_arena_name": runner.last_arena_name,
+    }, sys.stdout)
+    """
+)
+
+
+@pytest.mark.skipif(
+    not pathlib.Path("/dev/shm").is_dir(), reason="no /dev/shm"
+)
+def test_parallel_sweep_uses_no_shared_memory():
+    """A fresh interpreter's jobs=2 sweep starts no resource tracker and
+    creates no /dev/shm segment: results travel through the pool pipe."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SHARED_MEMORY_PROBE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report == {
+        "tracker_started": False,
+        "new_segments": [],
+        "last_arena_name": None,
+    }
 
 
 class TestCacheInvalidation:

@@ -7,7 +7,10 @@ randomness, and no run may read or perturb the process-global RNGs
 runner's cache-equivalence guarantee.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +111,35 @@ class TestSeedPlumbing:
         c, _, _ = run_model(base_seed=1, **common)
         assert repr(a) == repr(b)
         assert repr(a) != repr(c)
+
+
+_VM_PART_CELL = (
+    "from repro.model.api import run_model\n"
+    "outcome, result, _ = run_model(design='VM-Part', lc_workload='Mixed',"
+    " load='high', mix_seed=1, epochs=2, base_seed=501000)\n"
+    "print(repr(outcome)); print(repr(result))\n"
+)
+
+
+def test_results_independent_of_string_hash_seed():
+    """A cell's results must not follow ``PYTHONHASHSEED``.
+
+    VM-Part groups a VM's batch apps into one partition; summing their
+    per-bank MB in set order made the float total depend on string-hash
+    randomisation.
+    """
+    outputs = []
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _VM_PART_CELL],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestReproducePaperScript:

@@ -4,14 +4,12 @@ Covers the schema layer (canonical JSON round-trips, strict
 unknown-key rejection), the in-process service registry, the HTTP
 daemon's error mapping (400/404/413 with the ``repro.errors`` class
 named in the body), concurrent-session isolation, loadgen determinism,
-background sweeps, and the satellite API consolidation
-(``run_model`` + warn-once deprecated aliases, strict
-``trace_from_spec``).
+background sweeps, the ``run_model`` entry point (one selector, no
+argument outside its mode), and strict ``trace_from_spec``.
 """
 
 import http.client
 import json
-import warnings
 
 import pytest
 
@@ -438,7 +436,7 @@ class TestSweeps:
 
 
 # --------------------------------------------------------------------------
-# satellite: run_model consolidation + deprecated aliases
+# run_model: one entry point, strict per-mode arguments
 # --------------------------------------------------------------------------
 
 
@@ -458,63 +456,47 @@ class TestRunModel:
                 lc_workload="xapian",
             )
 
-    def test_matches_deprecated_alias_and_warns_once(self):
-        from repro.model._deprecation import reset_warnings
+    @pytest.mark.parametrize(
+        "mode, name",
+        [
+            ("workload", "seeds"),
+            ("workload", "baseline_ipcs"),
+            ("workload", "config"),
+            ("workload", "load"),
+            ("workloads", "seed"),
+            ("workloads", "baseline_ipcs"),
+            ("workloads", "config"),
+            ("workloads", "base_seed"),
+            ("workloads", "engine"),
+            ("lc_workload", "seed"),
+            ("lc_workload", "controller_config"),
+        ],
+    )
+    def test_argument_outside_its_mode_named(self, mode, name):
+        from repro.config import ControllerConfig, SystemConfig
         from repro.model.api import run_model
-        from repro.model.system import run_design
         from repro.model.workload import make_default_workload
 
         workload = make_default_workload(["xapian"], mix_seed=0,
                                          load="high")
-        new = run_model(
-            design="Static", workload=workload, epochs=2, seed=0
-        )
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = run_design("Static", workload, num_epochs=2, seed=0)
-            run_design("Static", workload, num_epochs=2, seed=0)
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # warns once per process
-        assert "run_model" in str(deprecations[0].message)
-        assert new.batch_ipcs() == old.batch_ipcs()
-        assert {
-            app: new.lc_tail_normalized(app)
-            for app in new.lc_deadlines
-        } == {
-            app: old.lc_tail_normalized(app)
-            for app in old.lc_deadlines
-        }
-
-    def test_batch_mode_matches_alias(self):
-        from repro.model._deprecation import reset_warnings
-        from repro.model.api import run_model
-        from repro.model.batch import run_design_batch
-        from repro.model.workload import make_default_workload
-
-        workloads = [
-            make_default_workload(["xapian"], mix_seed=m, load="high")
-            for m in range(2)
-        ]
-        new = run_model(
-            design="Jumanji", workloads=workloads, epochs=2,
-            seeds=[0, 1],
-        )
-        reset_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            old = run_design_batch(
-                "Jumanji", workloads, num_epochs=2, seeds=[0, 1]
-            )
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        assert [r.batch_ipcs() for r in new] == [
-            r.batch_ipcs() for r in old
-        ]
+        selector = {
+            "workload": workload,
+            "workloads": [workload],
+            "lc_workload": "xapian",
+        }[mode]
+        value = {
+            "seeds": [1],
+            "seed": 1,
+            "baseline_ipcs": {"a": 1.0},
+            "config": SystemConfig(),
+            "load": "low",
+            "base_seed": 1,
+            # workloads= runs the fast engine only.
+            "engine": "reference",
+            "controller_config": ControllerConfig(),
+        }[name]
+        with pytest.raises(ConfigError, match=rf"\b{name}="):
+            run_model(design="Static", **{mode: selector, name: value})
 
     def test_lc_workload_mode_rejects_batch_only_kwargs(self):
         from repro.model.api import run_model

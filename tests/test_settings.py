@@ -98,22 +98,23 @@ class TestEngine:
     def test_choices(self):
         assert Engine.FAST == "fast"
         assert Engine.REFERENCE == "reference"
-        assert Engine.BATCH == "batch"
-        assert Engine.CHOICES == ("fast", "reference", "batch")
+        assert Engine.CHOICES == ("fast", "reference")
+        assert not hasattr(Engine, "BATCH")
 
     def test_validate_accepts_known(self):
         assert Engine.validate("fast") == "fast"
         assert Engine.validate("reference") == "reference"
-        assert Engine.validate("batch") == "batch"
 
     def test_accelerated_split(self):
         assert Engine.accelerated("fast")
-        assert Engine.accelerated("batch")
         assert not Engine.accelerated("reference")
 
     def test_validate_rejects_unknown_naming_source(self):
         with pytest.raises(ConfigError, match="SystemModel"):
             Engine.validate("turbo", source="SystemModel")
+        # The former third engine is gone, not aliased.
+        with pytest.raises(ConfigError, match="batch"):
+            Engine.validate("batch")
         # ConfigError subclasses ValueError, so seed-era except clauses
         # and pytest.raises(ValueError) both still hold.
         with pytest.raises(ValueError, match="engine"):
