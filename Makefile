@@ -44,16 +44,20 @@ check-resilience:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Two-mix micro-sweep through the parallel runner (<60 s); writes
-# BENCH_sweeps.json with wall-clock, cells computed vs cache-hit, and
-# speedup vs the serial estimate.
+# Two-mix micro-sweep through the parallel runner (<60 s): wall-clock,
+# cells computed vs cache-hit, and speedup vs the serial estimate.
+# Writes to a scratch path so the committed default-scale
+# BENCH_sweeps.json (regenerate with `python -m repro bench --cold`)
+# survives.
 bench-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro bench \
-	  --figures fig13 --mixes 2 --epochs 2
+	  --figures fig13 --mixes 2 --epochs 2 \
+	  --output BENCH_sweeps_smoke.json
 
 # Tiny trace-simulator benchmark (seconds): times the array-backed
 # fast path against the frozen scalar reference on identical replayed
-# streams and shards two seed runs through the result cache. Writes to
+# streams and shards two seed runs through the result cache; exits
+# non-zero if the two diverge (stats_identical gate). Writes to
 # a scratch path so the committed default-scale BENCH_tracesim.json
 # (regenerate with `python -m repro bench --suite tracesim`) survives.
 bench-tracesim:
@@ -117,8 +121,5 @@ figures:
 
 clean:
 	rm -rf results/ .pytest_cache .benchmarks
-	rm -f BENCH_sweeps.json BENCH_tracesim_smoke.json \
-	  BENCH_model_smoke.json BENCH_faults_smoke.json \
-	  BENCH_obs_smoke.json BENCH_fleet_smoke.json \
-	  BENCH_serve_smoke.json
+	rm -f BENCH_*_smoke.json
 	find . -name __pycache__ -type d -exec rm -rf {} +

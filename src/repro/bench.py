@@ -1,83 +1,23 @@
-"""``repro bench``: timed sweep benchmarking with a machine-readable report.
+"""``repro bench``: the benchmark suites and their one report path.
 
-Seven suites:
-
-* ``--suite sweeps`` (default) runs the sweep-backed figures
-  (Fig. 13-18) through the parallel runner and writes
-  ``BENCH_sweeps.json`` recording, per figure: wall-clock seconds,
-  cells computed vs. served from the result cache, the estimated serial
-  cost (sum of per-cell compute durations), and the resulting speedup
-  vs. that serial baseline. The serial estimate comes from the
-  durations the cache records for every cell, so warm runs still report
-  an honest speedup without re-running the sweep serially.
-
-* ``--suite tracesim`` benchmarks the array-backed trace-simulator fast
-  path (``repro.sim.tracesim``) against the frozen scalar reference
-  (``repro.sim.reference``) on byte-identical replayed streams, checks
-  the aggregate :class:`~repro.sim.tracesim.TraceStats` are
-  bit-identical, shards per-seed trace runs over the runner pool
-  (capped at 4 workers unless a job count is pinned — the cells are too
-  small to amortise a bigger pool), and writes ``BENCH_tracesim.json``.
-  ``--profile`` additionally dumps cProfile stats for one closed-loop
-  simulated epoch.
-
-* ``--suite model`` benchmarks the vectorised epoch engine against the
-  frozen scalar reference (``repro.model.reference``) on the Fig. 13
-  epoch loop: every (design, batch-mix) cell is run end-to-end through
-  :class:`~repro.model.system.SystemModel` under both engines with the
-  same seeds, the two :class:`~repro.model.system.RunResult` objects
-  are required to be bit-identical (``stats_identical``), and the
-  report records per-design and overall speedups plus placement-memo
-  hit counts. Exits non-zero if any cell diverges or the deadline memo
-  is unbounded. Writes ``BENCH_model.json``.
-
-* ``--suite faults`` is the chaos smoke: it runs one mini-sweep twice
-  on throwaway cache directories — once clean, once under a seeded
-  :class:`~repro.faults.FaultPlan` injecting worker crashes, handler
-  errors, and corrupt cache entries — and checks the outcomes are
-  bit-identical (fault tolerance must never change results, only cost).
-  It then re-runs over the now-dirty cache (quarantine + recompute
-  path) and finishes with a degraded-runtime drill verifying the
-  no-shared-banks security invariant holds through NaN/negative/dropped
-  telemetry and injected placer failures. Writes ``BENCH_faults.json``
-  and exits non-zero if any invariant breaks, so ``make check-faults``
-  can gate on it.
-
-* ``--suite obs`` gates the observability subsystem (``repro.obs``):
-  disabled-mode instrumentation overhead on the Fig. 13 epoch loop must
-  stay within :data:`OBS_OVERHEAD_GATE` of a fully stubbed run, an
-  enabled run must cover every span in :data:`OBS_REQUIRED_SPANS` with
-  a loadable trace, and two same-seed enabled runs must produce
-  identical metric snapshots. Writes ``BENCH_obs.json`` and exits
-  non-zero on any gate failure, so ``make bench-obs`` can gate on it.
-
-* ``--suite fleet`` gates the rack-scale layer (``repro.fleet``): one
-  seeded scenario (churn + flash crowds + rack-correlated failures) is
-  run twice end to end; the two canonical results must serialise
-  byte-identically (same-seed determinism), no conservation/capacity/
-  isolation invariant may break in either run, and the report records
-  chip-epochs/s throughput. Writes ``BENCH_fleet.json`` and exits
-  non-zero on any gate failure, so ``make bench-fleet`` can gate on it.
-
-* ``--suite serve`` gates the placement service (``repro.serve``): an
-  in-process daemon is driven twice by the same seeded synthetic-tenant
-  load (``N`` tenants x ``M`` telemetry posts each); both runs must
-  finish with zero errors and zero invariant violations, the decision
-  sequences must be byte-identical (same-seed determinism), and the
-  report records decisions/s and client-observed p95 decision latency.
-  Writes ``BENCH_serve.json`` and exits non-zero on any gate failure,
-  so ``make bench-serve`` can gate on it.
+Every suite is one entry of :data:`SUITES`; its body's docstring says
+what it measures and which gates it checks. :func:`run_suite` runs a
+suite and writes its report; :func:`cmd_bench` is the CLI.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import pathlib
+import platform
 import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from . import __version__
 from .config import Settings
@@ -92,85 +32,59 @@ __all__ = [
     "BENCH_FIGURES",
     "OBS_OVERHEAD_GATE",
     "OBS_REQUIRED_SPANS",
-    "run_bench",
-    "run_tracesim_bench",
-    "run_model_bench",
-    "run_faults_bench",
-    "run_obs_bench",
-    "run_fleet_bench",
-    "run_serve_bench",
+    "Suite",
+    "SUITES",
+    "run_suite",
     "add_bench_arguments",
     "cmd_bench",
 ]
 
-
-def _fig13(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig13
-
-    fig13.run(mixes=mixes, epochs=epochs, jobs=jobs)
+#: What a suite body returns: its report keys and ``{gate: passed}``.
+SuiteResult = Tuple[Dict[str, Any], Dict[str, bool]]
 
 
-def _fig14(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig14
+@dataclass(frozen=True)
+class Suite:
+    """One ``repro bench`` suite.
 
-    fig14.run(mixes=mixes, epochs=epochs, jobs=jobs)
+    ``run(**options)`` returns the suite's report keys and its gates;
+    ``options`` names the CLI flags (argparse dests) the suite reads;
+    ``summary(report)`` renders a written report for the console.
+    """
 
-
-def _fig15(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig15
-
-    fig15.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-def _fig16(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig16
-
-    fig16.run(mixes=mixes, epochs=epochs, jobs=jobs)
+    name: str
+    options: FrozenSet[str]
+    run: Callable[..., SuiteResult]
+    summary: Callable[[Dict[str, Any]], str]
 
 
-def _fig17(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig17
-
-    fig17.run(mixes=mixes, epochs=epochs, jobs=jobs)
+#: The sweep-backed figures the ``sweeps`` suite can time.
+BENCH_FIGURES = ("fig13", "fig14", "fig15", "fig16", "fig17", "fig18")
 
 
-def _fig18(mixes: Optional[int], epochs: Optional[int],
-           jobs: Optional[int]) -> None:
-    from .experiments import fig18
-
-    fig18.run(mixes=mixes, epochs=epochs, jobs=jobs)
-
-
-#: The sweep-backed figures ``repro bench`` can time.
-BENCH_FIGURES: Dict[str, Callable[..., None]] = {
-    "fig13": _fig13,
-    "fig14": _fig14,
-    "fig15": _fig15,
-    "fig16": _fig16,
-    "fig17": _fig17,
-    "fig18": _fig18,
-}
+def _add_speedup(entry: Dict[str, Any]) -> None:
+    """Set ``speedup_vs_serial``: serial estimate over wall-clock."""
+    wall = entry["wall_seconds"]
+    entry["speedup_vs_serial"] = (
+        entry["serial_seconds_estimate"] / wall if wall > 0 else float("inf")
+    )
 
 
-def run_bench(
+def _run_sweeps(
     figures: Optional[List[str]] = None,
     jobs: Optional[int] = None,
     mixes: Optional[int] = None,
     epochs: Optional[int] = None,
     cold: bool = False,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
-    """Benchmark the requested figures; returns (and writes) the report.
+) -> SuiteResult:
+    """Time the sweep-backed figures through the parallel runner.
 
-    With ``cold=True`` the result cache is cleared first, so every cell
-    is recomputed. ``output`` defaults to ``BENCH_sweeps.json`` in the
-    current directory; pass ``output=""``/None-like falsy to skip
-    writing.
+    Records, per figure: wall-clock seconds, cells computed vs. served
+    from the result cache, the estimated serial cost (sum of the
+    per-cell compute durations the cache records, so warm runs still
+    report an honest speedup without re-running the sweep serially), and
+    the speedup vs. that estimate. With ``cold=True`` the result cache is
+    cleared first, so every cell is recomputed. No gates.
     """
     figures = list(figures) if figures else list(BENCH_FIGURES)
     unknown = [f for f in figures if f not in BENCH_FIGURES]
@@ -183,63 +97,65 @@ def run_bench(
     cache = ResultCache()
     if cold:
         cache.clear()
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "code_fingerprint": code_fingerprint(),
+    per_figure: Dict[str, Dict[str, Any]] = {}
+    for name in figures:
+        figure = importlib.import_module(
+            f".experiments.{name}", __package__
+        )
+        with collecting_stats() as stats:
+            start = time.perf_counter()
+            figure.run(mixes=mixes, epochs=epochs, jobs=jobs)
+            wall = time.perf_counter() - start
+        entry = stats.as_dict()
+        # Figure wall-clock includes aggregation outside the runner.
+        entry["wall_seconds"] = wall
+        _add_speedup(entry)
+        per_figure[name] = entry
+    totals = {
+        key: sum(f[key] for f in per_figure.values())
+        for key in (
+            "cells",
+            "computed",
+            "cache_hits",
+            "wall_seconds",
+            "serial_seconds_estimate",
+        )
+    }
+    totals["cache_hit_rate"] = (
+        totals["cache_hits"] / totals["cells"] if totals["cells"] else 0.0
+    )
+    _add_speedup(totals)
+    body = {
         "jobs": jobs_resolved,
         "mixes": mixes,
         "epochs": epochs,
         "cold": cold,
         "cache_dir": str(cache.directory),
-        "figures": {},
+        "figures": per_figure,
+        "total": totals,
     }
-    for name in figures:
-        with collecting_stats() as stats:
-            start = time.perf_counter()
-            BENCH_FIGURES[name](mixes=mixes, epochs=epochs, jobs=jobs)
-            wall = time.perf_counter() - start
-        entry = stats.as_dict()
-        # Figure wall-clock includes aggregation outside the runner.
-        entry["wall_seconds"] = wall
-        entry["speedup_vs_serial"] = (
-            entry["serial_seconds_estimate"] / wall
-            if wall > 0
-            else float("inf")
+    return body, {}
+
+
+def _summarize_sweeps(report: Dict[str, Any]) -> str:
+    lines = [
+        f"bench: {len(report['figures'])} figure(s), "
+        f"jobs={report['jobs']}, cache={report['cache_dir']}"
+    ]
+    for name, entry in report["figures"].items():
+        lines.append(
+            f"  {name}: {entry['wall_seconds']:.2f}s wall, "
+            f"{entry['computed']} computed + "
+            f"{entry['cache_hits']} cached cells, "
+            f"{entry['speedup_vs_serial']:.1f}x vs serial"
         )
-        report["figures"][name] = entry
-    totals = {
-        "cells": sum(
-            f["cells"] for f in report["figures"].values()
-        ),
-        "computed": sum(
-            f["computed"] for f in report["figures"].values()
-        ),
-        "cache_hits": sum(
-            f["cache_hits"] for f in report["figures"].values()
-        ),
-        "wall_seconds": sum(
-            f["wall_seconds"] for f in report["figures"].values()
-        ),
-        "serial_seconds_estimate": sum(
-            f["serial_seconds_estimate"]
-            for f in report["figures"].values()
-        ),
-    }
-    totals["cache_hit_rate"] = (
-        totals["cache_hits"] / totals["cells"] if totals["cells"] else 0.0
+    total = report["total"]
+    lines.append(
+        f"  total: {total['wall_seconds']:.2f}s wall, "
+        f"cache hit rate {total['cache_hit_rate']:.0%}, "
+        f"{total['speedup_vs_serial']:.1f}x vs serial"
     )
-    totals["speedup_vs_serial"] = (
-        totals["serial_seconds_estimate"] / totals["wall_seconds"]
-        if totals["wall_seconds"] > 0
-        else float("inf")
-    )
-    report["total"] = totals
-    if output is None:
-        output = "BENCH_sweeps.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -247,9 +163,7 @@ def run_bench(
 # --------------------------------------------------------------------------
 
 
-def _tracesim_streams(
-    accesses: int, config, seed: int = 0
-) -> List[List[int]]:
+def _tracesim_streams(accesses: int, config) -> List[List[int]]:
     """Materialised per-core access streams for the benchmark workload.
 
     One third each of Zipf reuse, uniform working-set reuse, and
@@ -268,12 +182,12 @@ def _tracesim_streams(
     for core in range(config.num_cores):
         if core % 3 == 0:
             trace = ZipfTrace(
-                40_000, alpha=0.9, seed=seed * 1000 + core,
+                40_000, alpha=0.9, seed=core,
                 base_line=core << 32,
             )
         elif core % 3 == 1:
             trace = WorkingSetTrace(
-                30_000, seed=seed * 1000 + core, base_line=core << 32
+                30_000, seed=core, base_line=core << 32
             )
         else:
             trace = StreamingTrace(50_000, base_line=core << 32)
@@ -350,21 +264,25 @@ def _profile_epoch(
     }
 
 
-def run_tracesim_bench(
+def _run_tracesim(
     accesses: int = 20_000,
     seeds: int = 4,
     jobs: Optional[int] = None,
     cold: bool = False,
-    profile: bool = False,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
-    """Benchmark the trace-simulator fast path; write the report.
+    profile: Optional[pathlib.Path] = None,
+) -> SuiteResult:
+    """Time the trace-simulator fast path against the scalar reference.
 
-    ``accesses`` is the per-core round count of the timed comparison
-    (and of each sharded run); ``seeds`` is how many independent
-    ``tracesim_run`` cells are fanned over the runner pool. With
-    ``cold=True`` the result cache is cleared first. ``output`` defaults
-    to ``BENCH_tracesim.json`` in the current directory.
+    Runs the array-backed fast path (``repro.sim.tracesim``) and the
+    frozen scalar reference (``repro.sim.reference``) on byte-identical
+    replayed streams of ``accesses`` rounds per core, then shards
+    ``seeds`` independent ``tracesim_run`` cells over the runner pool
+    and result cache. With ``cold=True`` the result cache is cleared
+    first; with a ``profile`` path, cProfile stats of one closed-loop
+    simulated epoch are dumped there.
+
+    Gate: ``stats_identical`` — the two implementations' aggregate
+    :class:`~repro.sim.tracesim.TraceStats` are bit-identical.
     """
     from .config import SystemConfig
     from .sim.reference import ReferenceTraceSimulator
@@ -429,10 +347,8 @@ def run_tracesim_bench(
     _, runner = shard_tracesim_runs(run_specs, jobs=shard_jobs)
     shard_wall = time.perf_counter() - shard_start
 
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "tracesim",
-        "code_fingerprint": code_fingerprint(),
+    stats_identical = fast_stats == ref_stats
+    body = {
         "jobs": jobs_resolved,
         "cold": cold,
         "cache_dir": str(cache.directory),
@@ -450,106 +366,48 @@ def run_tracesim_bench(
             "accesses_per_sec": total / fast_wall,
         },
         "speedup_vs_scalar": ref_wall / fast_wall,
-        "stats_identical": fast_stats == ref_stats,
+        "stats_identical": stats_identical,
         "sharded_runs": dict(
             runner.stats.as_dict(),
             seeds=seeds,
             pool_jobs=shard_jobs,
             wall_seconds=shard_wall,
         ),
-        "profile": None,
+        "profile": (
+            _profile_epoch(profile, min(accesses, 5000))
+            if profile
+            else None
+        ),
     }
-    if output is None:
-        output = "BENCH_tracesim.json"
-    path = pathlib.Path(output)
-    if profile:
-        report["profile"] = _profile_epoch(
-            path.with_suffix(".prof"), min(accesses, 5000)
-        )
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    return body, {"stats_identical": stats_identical}
 
 
-def cmd_tracesim_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite tracesim``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        # Default output name follows the suite.
-        output = "BENCH_tracesim.json"
-    report = run_tracesim_bench(
-        accesses=args.accesses,
-        seeds=args.seeds,
-        jobs=args.jobs,
-        cold=args.cold,
-        profile=args.profile,
-        output=output,
-    )
+def _summarize_tracesim(report: Dict[str, Any]) -> str:
     ref = report["scalar_reference"]
     fast = report["fast_path"]
     shards = report["sharded_runs"]
-    print(
+    lines = [
         f"tracesim: {report['workload']['total_accesses']:,} accesses "
-        f"x {report['workload']['cores']} cores, jobs={report['jobs']}"
-    )
-    print(
+        f"x {report['workload']['cores']} cores, jobs={report['jobs']}",
         f"  scalar reference: {ref['accesses_per_sec']:,.0f} acc/s "
-        f"({ref['wall_seconds']:.2f}s)"
-    )
-    print(
+        f"({ref['wall_seconds']:.2f}s)",
         f"  fast path:        {fast['accesses_per_sec']:,.0f} acc/s "
-        f"({fast['wall_seconds']:.2f}s)"
-    )
-    print(
+        f"({fast['wall_seconds']:.2f}s)",
         f"  speedup {report['speedup_vs_scalar']:.2f}x, stats "
-        f"identical: {report['stats_identical']}"
-    )
-    print(
+        f"identical: {report['stats_identical']}",
         f"  sharded runs: {shards['computed']} computed + "
         f"{shards['cache_hits']} cached cells in "
         f"{shards['wall_seconds']:.2f}s "
-        f"(pool of {shards['pool_jobs']})"
-    )
+        f"(pool of {shards['pool_jobs']})",
+    ]
     if report["profile"]:
-        print(f"  profile: {report['profile']['path']}")
-    print(f"wrote {report['output']}")
-    return 0
+        lines.append(f"  profile: {report['profile']['path']}")
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
 # model suite (vectorised epoch engine vs scalar reference)
 # --------------------------------------------------------------------------
-
-
-def _canonical_run_result(result) -> Tuple:
-    """A :class:`~repro.model.system.RunResult` as plain comparable data.
-
-    Covers every per-epoch observable (tails, sizes, IPCs,
-    vulnerability, the full energy breakdown) and every post-warmup
-    latency sample, so ``==`` between two canonical forms means the two
-    engines agreed bit-for-bit.
-    """
-    return (
-        result.design,
-        result.load,
-        result.warmup_epochs,
-        tuple(sorted(result.lc_deadlines.items())),
-        tuple(
-            (app, tuple(lats))
-            for app, lats in sorted(result.lc_all_latencies.items())
-        ),
-        tuple(
-            (
-                e.epoch,
-                tuple(sorted(e.lc_tails.items())),
-                tuple(sorted(e.lc_sizes.items())),
-                tuple(sorted(e.batch_ipcs.items())),
-                e.vulnerability,
-                tuple(sorted(vars(e.energy).items())),
-            )
-            for e in result.epochs
-        ),
-    )
 
 
 #: Per-design speedup floors (batched engine vs scalar reference),
@@ -577,27 +435,42 @@ MODEL_FLOOR_MIXES = 8
 MODEL_SMOKE_FLOOR = 0.5
 
 
-def run_model_bench(
+def _warm_deadlines(lc_workload: str, load: str) -> None:
+    """Fill the shared, bounded deadline ``lru_cache`` outside timing."""
+    from .model.system import compute_deadline_cycles
+    from .model.workload import make_default_workload
+    from .workloads.mixes import base_app
+
+    probe = make_default_workload([lc_workload], mix_seed=0, load=load)
+    for app in probe.lc_apps:
+        compute_deadline_cycles(
+            base_app(app), router_delay=probe.config.router_delay
+        )
+
+
+def _run_model(
     mixes: int = 2,
     epochs: Optional[int] = None,
     designs: Optional[List[str]] = None,
     lc_workload: str = "xapian",
     load: str = "high",
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
-    """Benchmark the batched multi-mix epoch engine on the Fig. 13 loop.
+) -> SuiteResult:
+    """Time the batched multi-mix epoch engine on the Fig. 13 loop.
 
     Each design runs once as a single
     :class:`~repro.model.batch.BatchSystemModel` over all ``mixes``
     mixes (one fused queueing kernel per epoch), then once per mix
     under the frozen scalar reference engine with the same seeds and a
-    fresh workload each; every per-mix ``RunResult`` pair must be
-    bit-identical. Deadlines are prewarmed (they are a shared
+    fresh workload each. Deadlines are prewarmed (they are a shared
     ``lru_cache`` both engines hit) so the timing covers the epoch loop
-    itself. Per-design speedups are gated against
-    :data:`MODEL_SPEEDUP_FLOORS` when ``mixes`` is at least
-    :data:`MODEL_FLOOR_MIXES`. ``output`` defaults to
-    ``BENCH_model.json``.
+    itself. ``epochs`` defaults to ``REPRO_EPOCHS`` or 20.
+
+    Gates: ``stats_identical`` — every per-mix ``RunResult`` pair is
+    bit-identical; ``floors_ok`` — per-design speedups meet
+    :data:`MODEL_SPEEDUP_FLOORS` (and the overall speedup
+    :data:`MODEL_OVERALL_FLOOR`) when ``mixes`` is at least
+    :data:`MODEL_FLOOR_MIXES`, else :data:`MODEL_SMOKE_FLOOR`;
+    ``deadline_cache_bounded`` — the deadline memo has a maxsize.
     """
     from .core.designs import make_design
     from .experiments.common import (
@@ -606,26 +479,15 @@ def run_model_bench(
         run_seed,
     )
     from .model.batch import BatchSystemModel
-    from .model.system import (
-        SystemModel,
-        compute_deadline_cycles,
-        deadline_cache_info,
-    )
+    from .model.system import SystemModel, deadline_cache_info
     from .model.workload import make_default_workload
-    from .workloads.mixes import base_app
 
     if mixes < 1:
         raise ValueError("need at least one batch mix")
     epochs = epochs if epochs is not None else num_epochs()
     designs = list(designs) if designs else list(DEFAULT_DESIGNS)
     at_scale = mixes >= MODEL_FLOOR_MIXES
-
-    # Warm the (shared, bounded) deadline cache outside the timing.
-    probe = make_default_workload([lc_workload], mix_seed=0, load=load)
-    for app in probe.lc_apps:
-        compute_deadline_cycles(
-            base_app(app), router_delay=probe.config.router_delay
-        )
+    _warm_deadlines(lc_workload, load)
 
     seeds = [run_seed(0, m) for m in range(mixes)]
     cells: List[Dict[str, Any]] = []
@@ -665,8 +527,8 @@ def run_model_bench(
                     "design": design_name,
                     "mix_seed": mix_seed,
                     "reference_seconds": cell_wall,
-                    "identical": _canonical_run_result(batch_result)
-                    == _canonical_run_result(ref_result),
+                    "identical": batch_result.canonical()
+                    == ref_result.canonical(),
                 }
             )
 
@@ -710,17 +572,12 @@ def run_model_bench(
         all(e["floor_ok"] for e in per_design.values())
         and overall_speedup >= overall_floor
     )
-    stages_total: Dict[str, float] = {}
+    stages_total: Counter = Counter()
     for entry in per_design.values():
-        for stage, seconds in entry["stages"].items():
-            stages_total[stage] = (
-                stages_total.get(stage, 0.0) + seconds
-            )
+        stages_total.update(entry["stages"])
     info = deadline_cache_info()
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "model",
-        "code_fingerprint": code_fingerprint(),
+    bounded = info.maxsize is not None
+    body = {
         "workload": {
             "designs": designs,
             "lc_workload": lc_workload,
@@ -749,60 +606,37 @@ def run_model_bench(
         "deadline_cache": {
             "maxsize": info.maxsize,
             "currsize": info.currsize,
-            "bounded": info.maxsize is not None,
+            "bounded": bounded,
         },
-        "ok": stats_identical
-        and floors_ok
-        and info.maxsize is not None,
     }
-    if output is None:
-        output = "BENCH_model.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    gates = {
+        "stats_identical": stats_identical,
+        "floors_ok": floors_ok,
+        "deadline_cache_bounded": bounded,
+    }
+    return body, gates
 
 
-def cmd_model_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite model``."""
-    settings = Settings.from_env()
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_model.json"
-    mixes = args.mixes
-    if mixes is None:
-        mixes = settings.bench_mixes
-    if mixes is None:
-        mixes = 2
-    epochs = args.epochs
-    if epochs is None:
-        epochs = settings.bench_epochs
-    report = run_model_bench(
-        mixes=mixes,
-        epochs=epochs,
-        output=output,
-    )
+def _summarize_model(report: Dict[str, Any]) -> str:
     wl = report["workload"]
-    print(
+    lines = [
         f"model: {len(wl['designs'])} designs x {wl['mixes']} mixes "
         f"x {wl['epochs']} epochs ({wl['lc_workload']}/{wl['load']})"
-    )
+    ]
     for name, entry in report["per_design"].items():
         flag = "" if entry["floor_ok"] else "  << BELOW FLOOR"
-        print(
+        st = entry["stages"]
+        lines += [
             f"  {name:<10s} batch {entry['batch_seconds']:.2f}s vs "
             f"reference {entry['reference_seconds']:.2f}s "
             f"({entry['speedup']:.2f}x, floor "
             f"{entry['speedup_floor']:.1f}x, "
-            f"{entry['memo_hits']} memo hits){flag}"
-        )
-        st = entry["stages"]
-        print(
+            f"{entry['memo_hits']} memo hits){flag}",
             f"  {'':<10s} stages: placer {st['placer']:.2f}s, "
             f"memo {st['memo']:.2f}s, queueing {st['queueing']:.2f}s, "
-            f"metrics {st['metrics']:.2f}s"
-        )
-    print(
+            f"metrics {st['metrics']:.2f}s",
+        ]
+    lines.append(
         f"  overall: {report['speedup']:.2f}x "
         f"(floor {report['speedup_floor']:.1f}x"
         f"{', enforced' if report['floors_enforced'] else ', smoke'}), "
@@ -810,14 +644,7 @@ def cmd_model_bench(args: argparse.Namespace) -> int:
         f"deadline cache bounded: "
         f"{report['deadline_cache']['bounded']}"
     )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print(
-            "MODEL SUITE FAILED: engines diverged, a speedup floor "
-            "was missed, or the deadline cache is unbounded"
-        )
-        return 1
-    return 0
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -825,25 +652,29 @@ def cmd_model_bench(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def run_faults_bench(
+def _run_faults(
     fault_seed: int = 0,
     jobs: Optional[int] = None,
     mixes: int = 2,
     epochs: int = 3,
     drill_epochs: int = 12,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
+) -> SuiteResult:
     """The chaos smoke: differential sweep + degraded-runtime drill.
 
-    Runs entirely on throwaway cache directories (the user's result
-    cache is never touched), so every invocation exercises the cold
-    compute path, the retry/crash-recovery machinery, and — on the
-    second faulty pass — the corrupt-entry quarantine path. Sets
-    ``report["ok"]`` only if the faulty sweeps are bit-identical to the
-    clean one *and* the drill never violated bank isolation.
+    Runs one mini-sweep twice on throwaway cache directories (the
+    user's result cache is never touched) — once clean, once under a
+    seeded :class:`~repro.faults.FaultPlan` injecting worker crashes,
+    handler errors, and corrupt cache entries — then re-runs over the
+    now-dirty cache (quarantine + recompute path), and finishes with a
+    degraded-runtime drill through NaN/negative/dropped telemetry and
+    injected placer failures.
+
+    Gates: ``cold_identical`` and ``warm_identical`` — both faulty
+    sweeps are bit-identical to the clean one (fault tolerance must
+    never change results, only cost); ``isolation_ok`` — the drill
+    never violated the no-shared-banks security invariant.
     """
     import shutil
-    import tempfile
 
     from .chaos import degraded_runtime_cell, differential_sweep
     from .faults import FaultPlan
@@ -911,11 +742,7 @@ def run_faults_bench(
         )
     )
 
-    ok = bool(cold_identical and warm_identical and drill["isolation_ok"])
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "faults",
-        "code_fingerprint": code_fingerprint(),
+    body = {
         "jobs": jobs_resolved,
         "fault_seed": fault_seed,
         "sweep_plan": sweep_plan.as_params(),
@@ -937,56 +764,36 @@ def run_faults_bench(
             "telemetry_events": drill["telemetry_events"],
             "placement_events": drill["placement_events"],
         },
-        "ok": ok,
     }
-    if output is None:
-        output = "BENCH_faults.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    gates = {
+        "cold_identical": bool(cold_identical),
+        "warm_identical": bool(warm_identical),
+        "isolation_ok": bool(drill["isolation_ok"]),
+    }
+    return body, gates
 
 
-def cmd_faults_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite faults``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_faults.json"
-    report = run_faults_bench(
-        fault_seed=args.fault_seed,
-        jobs=args.jobs,
-        mixes=args.mixes if args.mixes is not None else 2,
-        epochs=args.epochs if args.epochs is not None else 3,
-        output=output,
-    )
+def _summarize_faults(report: Dict[str, Any]) -> str:
     diff = report["differential"]
     drill = report["drill"]
-    print(
-        f"faults: seed={report['fault_seed']}, jobs={report['jobs']}, "
-        f"{diff['cells']} sweep cells"
+    return "\n".join(
+        [
+            f"faults: seed={report['fault_seed']}, "
+            f"jobs={report['jobs']}, {diff['cells']} sweep cells",
+            f"  cold chaos sweep: identical={diff['cold_identical']} "
+            f"({diff['cold_wall_seconds']:.2f}s, "
+            f"{diff['cold_stats']['retries']} retries, "
+            f"{diff['cold_stats']['pool_respawns']} pool respawns)",
+            f"  warm chaos sweep: identical={diff['warm_identical']} "
+            f"({diff['warm_wall_seconds']:.2f}s, "
+            f"{diff['warm_stats']['quarantined']} quarantined)",
+            f"  degraded-runtime drill: "
+            f"isolation_ok={drill['isolation_ok']} "
+            f"over {drill['epochs']} epochs "
+            f"({len(drill['degraded_epochs'])} degraded, "
+            f"{drill['telemetry_events']} telemetry drops)",
+        ]
     )
-    print(
-        f"  cold chaos sweep: identical={diff['cold_identical']} "
-        f"({diff['cold_wall_seconds']:.2f}s, "
-        f"{diff['cold_stats']['retries']} retries, "
-        f"{diff['cold_stats']['pool_respawns']} pool respawns)"
-    )
-    print(
-        f"  warm chaos sweep: identical={diff['warm_identical']} "
-        f"({diff['warm_wall_seconds']:.2f}s, "
-        f"{diff['warm_stats']['quarantined']} quarantined)"
-    )
-    print(
-        f"  degraded-runtime drill: isolation_ok={drill['isolation_ok']} "
-        f"over {drill['epochs']} epochs "
-        f"({len(drill['degraded_epochs'])} degraded, "
-        f"{drill['telemetry_events']} telemetry drops)"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("FAULT SUITE FAILED: see report above")
-        return 1
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -1014,36 +821,33 @@ OBS_REQUIRED_SPANS = frozenset(
 OBS_OVERHEAD_GATE = 0.02
 
 
-def run_obs_bench(
+def _run_obs(
     epochs: Optional[int] = None,
     repeats: int = 5,
     lc_workload: str = "xapian",
     load: str = "high",
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
+) -> SuiteResult:
     """Gate the observability subsystem: zero-cost off, complete on.
 
-    Three checks on the Fig. 13 epoch loop (Jumanji, one mix):
+    Three gates on the Fig. 13 epoch loop (Jumanji, one mix; ``epochs``
+    defaults to ``REPRO_EPOCHS`` or 20):
 
-    * **overhead** — interleaved min-of-``repeats`` timings of the
+    * ``overhead_ok`` — interleaved min-of-``repeats`` timings of the
       disabled-but-instrumented run against the same run with every
       ``repro.obs`` hook swapped for a bare stub
       (:func:`repro.obs.uninstrumented`); the ratio must stay within
       :data:`OBS_OVERHEAD_GATE`.
-    * **coverage** — an enabled run must produce every span in
+    * ``coverage_ok`` — an enabled run must produce every span in
       :data:`OBS_REQUIRED_SPANS` and write a loadable trace + metrics
       snapshot.
-    * **determinism** — two enabled same-seed runs must produce
+    * ``identical_snapshots`` — two enabled same-seed runs must produce
       identical metric snapshots (no wall-clock leaks into values).
     """
-    import tempfile
-
     from . import obs
     from .core.designs import make_design
     from .experiments.common import num_epochs, run_seed
-    from .model.system import SystemModel, compute_deadline_cycles
+    from .model.system import SystemModel
     from .model.workload import make_default_workload
-    from .workloads.mixes import base_app
 
     if repeats < 1:
         raise ValueError("need at least one timing repeat")
@@ -1061,11 +865,7 @@ def run_obs_bench(
 
     # Warm shared caches (deadline lru_cache, imports, numpy) outside
     # the timed region.
-    probe = make_default_workload([lc_workload], mix_seed=0, load=load)
-    for app in probe.lc_apps:
-        compute_deadline_cycles(
-            base_app(app), router_delay=probe.config.router_delay
-        )
+    _warm_deadlines(lc_workload, load)
     one_run()
 
     obs.reset()  # ensure disabled for the timing passes
@@ -1109,11 +909,7 @@ def run_obs_bench(
     coverage_ok = not missing and trace_loadable
     deterministic = snapshots[0] == snapshots[1]
 
-    ok = overhead_ok and coverage_ok and deterministic
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "obs",
-        "code_fingerprint": code_fingerprint(),
+    body = {
         "workload": {
             "design": "Jumanji",
             "lc_workload": lc_workload,
@@ -1138,74 +934,61 @@ def run_obs_bench(
             "ok": coverage_ok,
         },
         "determinism": {"identical_snapshots": deterministic},
-        "ok": ok,
     }
-    if output is None:
-        output = "BENCH_obs.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    gates = {
+        "overhead_ok": overhead_ok,
+        "coverage_ok": coverage_ok,
+        "identical_snapshots": deterministic,
+    }
+    return body, gates
 
 
-def cmd_obs_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite obs``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_obs.json"
-    report = run_obs_bench(epochs=args.epochs, output=output)
+def _summarize_obs(report: Dict[str, Any]) -> str:
     wl = report["workload"]
     oh = report["overhead"]
     cov = report["coverage"]
-    print(
-        f"obs: {wl['design']}/{wl['lc_workload']}/{wl['load']}, "
-        f"{wl['epochs']} epochs x {wl['repeats']} repeats"
+    return "\n".join(
+        [
+            f"obs: {wl['design']}/{wl['lc_workload']}/{wl['load']}, "
+            f"{wl['epochs']} epochs x {wl['repeats']} repeats",
+            f"  disabled overhead: {oh['overhead']:+.2%} "
+            f"(gate {oh['gate']:.0%}, "
+            f"min {oh['min_disabled_seconds']:.3f}s "
+            f"vs stub {oh['min_stub_seconds']:.3f}s)",
+            f"  span coverage: {len(cov['spans'])} names, "
+            f"missing: {cov['missing'] or 'none'}",
+            f"  deterministic metrics: "
+            f"{report['determinism']['identical_snapshots']}",
+        ]
     )
-    print(
-        f"  disabled overhead: {oh['overhead']:+.2%} "
-        f"(gate {oh['gate']:.0%}, min {oh['min_disabled_seconds']:.3f}s "
-        f"vs stub {oh['min_stub_seconds']:.3f}s)"
-    )
-    print(
-        f"  span coverage: {len(cov['spans'])} names, "
-        f"missing: {cov['missing'] or 'none'}"
-    )
-    print(
-        f"  deterministic metrics: "
-        f"{report['determinism']['identical_snapshots']}"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("OBS SUITE FAILED: see report above")
-        return 1
-    return 0
 
 
-def run_fleet_bench(
+def _run_fleet(
     chips: Optional[int] = None,
     epochs: Optional[int] = None,
-    seed: int = 0,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
+    fault_seed: int = 0,
+) -> SuiteResult:
     """Gate the rack-scale fleet layer: determinism + invariants.
 
-    Runs one seeded scenario — diurnal load, Poisson churn, a possible
-    flash crowd, and rack-correlated chip failures — twice end to end:
+    Runs one seeded scenario of ``chips`` chips (default
+    ``REPRO_FLEET_CHIPS`` or 32) over ``epochs`` epochs (default
+    ``REPRO_FLEET_EPOCHS`` or 10) — diurnal load, Poisson churn, a
+    possible flash crowd, and rack-correlated chip failures — twice end
+    to end, and records chip-epochs/s of the slower run so regressions
+    in the hierarchical epoch loop show up in the report. Gates:
 
-    * **determinism** — the two canonical results must serialise
+    * ``identical_results`` — the two canonical results serialise
       byte-identically (``FleetResult.to_json``); any wall-clock or
       iteration-order leak fails the gate.
-    * **invariants** — neither run may record a conservation, capacity,
+    * ``invariants_ok`` — neither run records a conservation, capacity,
       or isolation violation (``FleetResult.ok``).
-    * **throughput** — chip-epochs/s for the slower run is recorded so
-      regressions in the hierarchical epoch loop show up in the report.
-    * **resilience storm** — a failure-heavy scenario (correlated rack
-      failures, repairable chips, stragglers, bounded admission queue)
-      must finish with zero invariant violations, at least one
+    * ``resilience_ok`` — a failure-heavy storm scenario (correlated
+      rack failures, repairable chips, stragglers, bounded admission
+      queue) finishes with zero invariant violations, at least one
       completed repair, and repaired chips back in service.
-    * **checkpoint/resume** — a run killed mid-flight and resumed from
-      its ``--checkpoint`` journal must serialise byte-identically to
-      an uninterrupted run of the same scenario.
+    * ``resume_identical`` — a run killed mid-flight and resumed from
+      its ``--checkpoint`` journal serialises byte-identically to an
+      uninterrupted run of the same scenario.
     """
     from .faults import FaultPlan
     from .fleet import Fleet, FleetJournal, Scenario, run_fleet
@@ -1218,9 +1001,9 @@ def run_fleet_bench(
     scenario = Scenario(
         chips=chips,
         epochs=epochs,
-        seed=seed,
+        seed=fault_seed,
         flash_prob=0.1,
-        fault_plan=FaultPlan(seed=seed, chip_failure=0.02),
+        fault_plan=FaultPlan(seed=fault_seed, chip_failure=0.02),
     )
 
     runs: List[Dict[str, Any]] = []
@@ -1253,14 +1036,14 @@ def run_fleet_bench(
     storm = Scenario(
         chips=chips,
         epochs=epochs,
-        seed=seed,
+        seed=fault_seed,
         rack_size=2,
         arrival_rate=2.0,
         flash_prob=0.2,
         admission_patience=3,
         pending_limit=16,
         fault_plan=FaultPlan(
-            seed=seed,
+            seed=fault_seed,
             chip_failure=0.08,
             chip_repair=0.9,
             chip_slow=0.1,
@@ -1276,10 +1059,10 @@ def run_fleet_bench(
         if storm_fleet.chips[chip_id].alive
         and storm_fleet.chips[chip_id].tenants
     ]
-    storm_ok = (
+    storm_ok = bool(
         storm_result.ok
         and storm_result.counters.get("repairs", 0) > 0
-        and bool(serving)
+        and serving
     )
 
     # Checkpoint/resume: journal a small storm run, abandon it halfway
@@ -1289,13 +1072,13 @@ def run_fleet_bench(
     ck_scenario = Scenario(
         chips=min(chips, 8),
         epochs=max(4, min(epochs, 8)),
-        seed=seed,
+        seed=fault_seed,
         rack_size=2,
         flash_prob=0.1,
         admission_patience=3,
         pending_limit=8,
         fault_plan=FaultPlan(
-            seed=seed,
+            seed=fault_seed,
             chip_failure=0.05,
             chip_repair=0.8,
             chip_slow=0.08,
@@ -1319,14 +1102,7 @@ def run_fleet_bench(
         ).to_json()
     resume_identical = resumed == uninterrupted
 
-    ok = (
-        deterministic and invariants_ok and storm_ok
-        and resume_identical
-    )
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "fleet",
-        "code_fingerprint": code_fingerprint(),
+    body = {
         "scenario": scenario.as_params(),
         "runs": runs,
         "chip_epochs_per_s": min(
@@ -1350,35 +1126,25 @@ def run_fleet_bench(
             "resume_identical": resume_identical,
             "ok": resume_identical,
         },
-        "ok": ok,
     }
-    if output is None:
-        output = "BENCH_fleet.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    gates = {
+        "identical_results": deterministic,
+        "invariants_ok": invariants_ok,
+        "resilience_ok": storm_ok,
+        "resume_identical": resume_identical,
+    }
+    return body, gates
 
 
-def cmd_fleet_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite fleet``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_fleet.json"
-    report = run_fleet_bench(
-        chips=args.chips,
-        epochs=args.epochs,
-        seed=args.fault_seed,
-        output=output,
-    )
+def _summarize_fleet(report: Dict[str, Any]) -> str:
     sc = report["scenario"]
-    print(
+    lines = [
         f"fleet: {sc['chips']} chips x {sc['epochs']} epochs, "
         f"seed {sc['seed']}"
-    )
+    ]
     for i, run in enumerate(report["runs"]):
         counters = run["counters"]
-        print(
+        lines.append(
             f"  run {i}: {run['wall_seconds']:.2f}s "
             f"({run['chip_epochs_per_s']:.0f} chip-epochs/s), "
             f"{counters['admissions']} admissions, "
@@ -1386,60 +1152,46 @@ def cmd_fleet_bench(args: argparse.Namespace) -> int:
             f"{counters['chips_lost']} chips lost, "
             f"{len(run['invariant_violations'])} violations"
         )
-    print(
-        f"  deterministic results: "
-        f"{report['determinism']['identical_results']}"
-    )
     res = report["resilience"]
-    print(
+    ck = report["checkpoint"]
+    lines += [
+        f"  deterministic results: "
+        f"{report['determinism']['identical_results']}",
         f"  resilience storm: {res['counters']['repairs']} repairs, "
         f"{len(res['repaired_serving'])} repaired chip(s) serving, "
         f"{len(res['invariant_violations'])} violations "
-        f"-> {'ok' if res['ok'] else 'FAILED'}"
-    )
-    ck = report["checkpoint"]
-    print(
+        f"-> {'ok' if res['ok'] else 'FAILED'}",
         f"  checkpoint/resume: killed at epoch "
         f"{ck['interrupted_at_epoch']}, byte-identical resume: "
-        f"{ck['resume_identical']}"
-    )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("FLEET SUITE FAILED: see report above")
-        return 1
-    return 0
+        f"{ck['resume_identical']}",
+    ]
+    return "\n".join(lines)
 
 
-def run_serve_bench(
-    tenants: Optional[int] = None,
-    requests: Optional[int] = None,
-    seed: int = 0,
-    output: Optional[os.PathLike] = None,
-) -> Dict[str, Any]:
+def _run_serve(
+    tenants: int = 40,
+    requests: int = 25,
+    fault_seed: int = 0,
+) -> SuiteResult:
     """Gate the placement service: throughput + determinism.
 
     Boots an in-process :class:`~repro.serve.ServeDaemon` on a free
     port and drives it twice with the same seeded synthetic-tenant
-    script (``repro.serve.loadgen``):
+    script (``repro.serve.loadgen``: ``tenants`` tenants x
+    ``requests`` telemetry posts each), recording decisions/s and
+    client-observed p50/p95 decision latency of the slower run. Gates:
 
-    * **correctness** — both runs must finish with zero client errors
-      and zero invariant violations (epoch echo, positive ``lat_sizes``,
+    * ``invariants_ok`` — both runs finish with zero client errors and
+      zero invariant violations (epoch echo, positive ``lat_sizes``,
       LC apps present in every non-degraded allocation).
-    * **determinism** — the per-tenant decision fingerprints (canonical
-      JSON of each decision minus the session id) must be
+    * ``complete`` — every run records ``tenants * requests`` decisions.
+    * ``identical_decisions`` — the per-tenant decision fingerprints
+      (canonical JSON of each decision minus the session id) are
       byte-identical between the runs: same telemetry script in, same
       placement sequence out.
-    * **throughput** — decisions/s and client-observed p50/p95 decision
-      latency of the slower run are recorded so regressions in the
-      request path show up in the report.
     """
     from .serve import ServeDaemon
     from .serve.loadgen import run_loadgen
-
-    if tenants is None:
-        tenants = 40
-    if requests is None:
-        requests = 25
 
     runs: List[Dict[str, Any]] = []
     fingerprints: List[Dict[int, List[str]]] = []
@@ -1450,7 +1202,7 @@ def run_serve_bench(
                 daemon.port,
                 tenants=tenants,
                 requests=requests,
-                seed=seed,
+                seed=fault_seed,
             )
             fingerprints.append(report_run.fingerprints)
             runs.append(
@@ -1473,47 +1225,32 @@ def run_serve_bench(
         r["decisions"] == tenants * requests for r in runs
     )
     deterministic = fingerprints[0] == fingerprints[1]
-    ok = correct and complete and deterministic
-    report: Dict[str, Any] = {
-        "version": __version__,
-        "suite": "serve",
-        "code_fingerprint": code_fingerprint(),
+    body = {
         "tenants": tenants,
         "requests_per_tenant": requests,
-        "seed": seed,
+        "seed": fault_seed,
         "runs": runs,
         "decisions_per_s": min(r["decisions_per_s"] for r in runs),
         "p95_decision_ms": max(r["p95_decision_ms"] for r in runs),
         "determinism": {"identical_decisions": deterministic},
         "invariants": {"ok": correct, "complete": complete},
-        "ok": ok,
     }
-    if output is None:
-        output = "BENCH_serve.json"
-    path = pathlib.Path(output)
-    path.write_text(json.dumps(report, indent=2) + "\n")
-    report["output"] = str(path)
-    return report
+    gates = {
+        "invariants_ok": correct,
+        "complete": complete,
+        "identical_decisions": deterministic,
+    }
+    return body, gates
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench --suite serve``."""
-    output = args.output
-    if output == "BENCH_sweeps.json":
-        output = "BENCH_serve.json"
-    report = run_serve_bench(
-        tenants=args.tenants,
-        requests=args.requests,
-        seed=args.fault_seed,
-        output=output,
-    )
-    print(
+def _summarize_serve(report: Dict[str, Any]) -> str:
+    lines = [
         f"serve: {report['tenants']} tenants x "
         f"{report['requests_per_tenant']} requests, "
         f"seed {report['seed']}"
-    )
+    ]
     for i, run in enumerate(report["runs"]):
-        print(
+        lines.append(
             f"  run {i}: {run['decisions']} decisions in "
             f"{run['wall_seconds']:.2f}s "
             f"({run['decisions_per_s']:.0f}/s), "
@@ -1521,23 +1258,123 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             f"{len(run['errors'])} errors, "
             f"{len(run['invariant_violations'])} violations"
         )
-    print(
+    lines.append(
         f"  deterministic decisions: "
         f"{report['determinism']['identical_decisions']}"
     )
-    print(f"wrote {report['output']}")
-    if not report["ok"]:
-        print("SERVE SUITE FAILED: see report above")
-        return 1
-    return 0
+    return "\n".join(lines)
+
+
+#: Every ``repro bench`` suite, by name; ``sweeps`` is the CLI default.
+SUITES: Dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            "sweeps",
+            frozenset({"figures", "jobs", "mixes", "epochs", "cold"}),
+            _run_sweeps,
+            _summarize_sweeps,
+        ),
+        Suite(
+            "tracesim",
+            frozenset({"accesses", "seeds", "jobs", "cold", "profile"}),
+            _run_tracesim,
+            _summarize_tracesim,
+        ),
+        Suite(
+            "model",
+            frozenset({"mixes", "epochs"}),
+            _run_model,
+            _summarize_model,
+        ),
+        Suite(
+            "faults",
+            frozenset({"fault_seed", "jobs", "mixes", "epochs"}),
+            _run_faults,
+            _summarize_faults,
+        ),
+        Suite("obs", frozenset({"epochs"}), _run_obs, _summarize_obs),
+        Suite(
+            "fleet",
+            frozenset({"chips", "epochs", "fault_seed"}),
+            _run_fleet,
+            _summarize_fleet,
+        ),
+        Suite(
+            "serve",
+            frozenset({"tenants", "requests", "fault_seed"}),
+            _run_serve,
+            _summarize_serve,
+        ),
+    )
+}
+
+
+def _environment() -> Dict[str, Any]:
+    """The machine and toolchain a report was measured on."""
+    import numpy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "machine": platform.machine(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
+def run_suite(
+    name: str, output: Optional[os.PathLike] = None, **options: Any
+) -> Dict[str, Any]:
+    """Run suite ``name`` with ``options``; write and return its report.
+
+    The report is the suite body's keys inside one envelope: version,
+    suite name, code fingerprint, an ``environment`` block (nproc, CPU,
+    Python and numpy versions), the suite's ``gates``, and ``ok``
+    (every gate passed). It is written to ``output`` (default
+    ``BENCH_<name>.json``); the returned dict also carries the written
+    path under ``"output"``. A true ``profile`` option dumps pstats
+    beside the report (``.prof``).
+    """
+    suite = SUITES[name]
+    path = pathlib.Path(
+        output if output is not None else f"BENCH_{name}.json"
+    )
+    if options.get("profile"):
+        options["profile"] = path.with_suffix(".prof")
+    body, gates = suite.run(**options)
+    report: Dict[str, Any] = {
+        "version": __version__,
+        "suite": name,
+        "code_fingerprint": code_fingerprint(),
+        "environment": _environment(),
+        **body,
+        "gates": gates,
+        "ok": all(gates.values()),
+    }
+    path.write_text(json.dumps(report, indent=2) + "\n")
+    report["output"] = str(path)
+    return report
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Attach ``repro bench`` options to a subparser."""
+    """Attach ``repro bench`` options to a subparser.
+
+    Suite options default to ``None`` (not given); the suite body's
+    signature holds the real default.
+    """
     parser.add_argument(
         "--suite",
-        choices=("sweeps", "tracesim", "model", "faults", "obs",
-                 "fleet", "serve"),
+        choices=tuple(SUITES),
         default="sweeps",
         help="what to benchmark: figure sweeps (default), the "
         "trace-simulator fast path, the vectorised epoch engine, "
@@ -1546,118 +1383,97 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "placement-service gate",
     )
     parser.add_argument(
+        "--output", help="report path (default BENCH_<suite>.json)"
+    )
+    parser.add_argument(
         "--figures",
         nargs="+",
-        choices=sorted(BENCH_FIGURES),
-        default=None,
-        help="figures to benchmark (default: all sweep figures)",
+        choices=BENCH_FIGURES,
+        help="sweeps suite: figures to benchmark (default: all sweep "
+        "figures)",
     )
     parser.add_argument(
         "--jobs",
         type=int,
-        default=None,
         help="parallel workers (default: REPRO_JOBS or cpu count)",
     )
-    parser.add_argument("--mixes", type=int, default=None,
+    parser.add_argument("--mixes", type=int,
                         help="batch mixes per workload")
-    parser.add_argument("--epochs", type=int, default=None,
-                        help="epochs per run")
+    parser.add_argument("--epochs", type=int, help="epochs per run")
     parser.add_argument(
         "--cold",
         action="store_true",
+        default=None,
         help="clear the result cache first (force full recompute)",
-    )
-    parser.add_argument(
-        "--output",
-        default="BENCH_sweeps.json",
-        help="report path (default BENCH_sweeps.json, or "
-        "BENCH_tracesim.json for --suite tracesim)",
     )
     parser.add_argument(
         "--accesses",
         type=int,
-        default=20_000,
         help="tracesim suite: accesses per core (default 20000)",
     )
     parser.add_argument(
         "--seeds",
         type=int,
-        default=4,
         help="tracesim suite: independent sharded seed runs "
         "(default 4)",
     )
     parser.add_argument(
         "--profile",
         action="store_true",
+        default=None,
         help="tracesim suite: dump cProfile stats for one simulated "
         "epoch next to the report",
     )
     parser.add_argument(
         "--fault-seed",
         type=int,
-        default=0,
-        help="faults/fleet suite: scenario + FaultPlan seed "
-        "(default 0)",
+        help="faults/fleet/serve suite: scenario, FaultPlan and "
+        "load-generator seed (default 0)",
     )
     parser.add_argument(
         "--chips",
         type=int,
-        default=None,
         help="fleet suite: sockets in the fleet "
         "(default REPRO_FLEET_CHIPS or 32)",
     )
     parser.add_argument(
         "--tenants",
         type=int,
-        default=None,
         help="serve suite: concurrent tenant sessions (default 40)",
     )
     parser.add_argument(
         "--requests",
         type=int,
-        default=None,
         help="serve suite: telemetry posts per tenant (default 25)",
     )
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """CLI entry point for ``repro bench``."""
-    if args.suite == "tracesim":
-        return cmd_tracesim_bench(args)
-    if args.suite == "model":
-        return cmd_model_bench(args)
-    if args.suite == "faults":
-        return cmd_faults_bench(args)
-    if args.suite == "obs":
-        return cmd_obs_bench(args)
-    if args.suite == "fleet":
-        return cmd_fleet_bench(args)
-    if args.suite == "serve":
-        return cmd_serve_bench(args)
-    report = run_bench(
-        figures=args.figures,
-        jobs=args.jobs,
-        mixes=args.mixes,
-        epochs=args.epochs,
-        cold=args.cold,
-        output=args.output,
-    )
-    print(
-        f"bench: {len(report['figures'])} figure(s), "
-        f"jobs={report['jobs']}, cache={report['cache_dir']}"
-    )
-    for name, entry in report["figures"].items():
-        print(
-            f"  {name}: {entry['wall_seconds']:.2f}s wall, "
-            f"{entry['computed']} computed + "
-            f"{entry['cache_hits']} cached cells, "
-            f"{entry['speedup_vs_serial']:.1f}x vs serial"
-        )
-    total = report["total"]
-    print(
-        f"  total: {total['wall_seconds']:.2f}s wall, "
-        f"cache hit rate {total['cache_hit_rate']:.0%}, "
-        f"{total['speedup_vs_serial']:.1f}x vs serial"
-    )
+def cmd_bench(
+    args: argparse.Namespace, parser: argparse.ArgumentParser
+) -> int:
+    """CLI entry point for ``repro bench``; exits 1 iff a gate failed.
+
+    A flag the chosen suite does not read is a usage error
+    (``parser.error``) naming the flag and the suite.
+    """
+    suite = SUITES[args.suite]
+    every_option = set().union(*(s.options for s in SUITES.values()))
+    options = {}
+    for dest in sorted(every_option):
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if dest not in suite.options:
+            parser.error(
+                f"--{dest.replace('_', '-')} is not an option of "
+                f"--suite {suite.name}"
+            )
+        options[dest] = value
+    report = run_suite(suite.name, output=args.output, **options)
+    print(suite.summary(report))
     print(f"wrote {report['output']}")
+    failed = [gate for gate, ok in report["gates"].items() if not ok]
+    if failed:
+        print(f"{suite.name}: FAILED gates: {', '.join(failed)}")
+        return 1
     return 0

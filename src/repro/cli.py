@@ -7,10 +7,11 @@ Commands:
 * ``figure <name>``        — regenerate one of the paper's figures/tables
 * ``fleet run``            — rack-scale fleet simulation over many chips
 * ``bench``                — benchmark suites: sweep figures (default),
-  the trace-simulator fast path (``--suite tracesim``), the
+  the trace-simulator fast path (``--suite tracesim``), the epoch
+  engine vs. its scalar reference (``--suite model``), the
   fault-injection chaos smoke (``--suite faults``), the observability
-  overhead gate (``--suite obs``), or the fleet gate (``--suite
-  fleet``)
+  overhead gate (``--suite obs``), the fleet gate (``--suite fleet``),
+  or the placement-service gate (``--suite serve``)
 * ``serve run``            — placement-as-a-service HTTP daemon
   (:mod:`repro.serve`); ``serve loadgen`` drives it with N synthetic
   tenants and prints throughput/latency
@@ -177,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="benchmark suites: sweeps (default), tracesim, model, "
-        "the faults chaos smoke, the obs overhead gate, or the "
-        "fleet gate",
+        "the faults chaos smoke, the obs overhead gate, the "
+        "fleet gate, or the serve gate",
     )
     add_bench_arguments(bench)
 
@@ -547,7 +548,8 @@ def _with_obs_outputs(args: argparse.Namespace, command) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "designs":
         return _cmd_designs()
     if args.command == "run":
@@ -559,7 +561,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "bench":
         from .bench import cmd_bench
 
-        return cmd_bench(args)
+        return cmd_bench(args, parser)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "deadline":

@@ -227,6 +227,33 @@ class RunResult:
         ]
         return float(np.mean(sizes)) if sizes else 0.0
 
+    def canonical(self) -> Tuple:
+        """This result as plain comparable data.
+
+        Covers every per-epoch observable (tails, sizes, IPCs,
+        vulnerability, the full energy breakdown) and every post-warmup
+        latency sample, so ``==`` between two canonical forms means the
+        two runs agreed bit-for-bit.
+        """
+        return (
+            self.design,
+            self.load,
+            self.warmup_epochs,
+            sorted(self.lc_deadlines.items()),
+            sorted(self.lc_all_latencies.items()),
+            [
+                (
+                    e.epoch,
+                    sorted(e.lc_tails.items()),
+                    sorted(e.lc_sizes.items()),
+                    sorted(e.batch_ipcs.items()),
+                    e.vulnerability,
+                    sorted(vars(e.energy).items()),
+                )
+                for e in self.epochs
+            ],
+        )
+
 
 class SystemModel:
     """Runs one design against one workload for N epochs."""

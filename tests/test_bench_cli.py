@@ -72,10 +72,68 @@ def test_bench_report_schema_and_cache_behaviour(bench_env, capsys):
 
 
 def test_bench_rejects_unknown_figure(bench_env):
-    from repro.bench import run_bench
+    from repro.bench import run_suite
 
     with pytest.raises(ValueError, match="unknown figures"):
-        run_bench(figures=["fig99"])
+        run_suite("sweeps", figures=["fig99"])
+
+
+@pytest.mark.parametrize(
+    "suite, flag",
+    [
+        ("model", ["--jobs", "8"]),
+        ("serve", ["--cold"]),
+        ("obs", ["--mixes", "40"]),
+        ("sweeps", ["--tenants", "2"]),
+        ("tracesim", ["--fault-seed", "1"]),
+        ("fleet", ["--profile"]),
+    ],
+)
+def test_bench_rejects_flags_the_suite_does_not_read(
+    bench_env, capsys, suite, flag
+):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--suite", suite, *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag[0] in err
+    assert f"--suite {suite}" in err
+
+
+def test_bench_output_path_is_written_as_given(bench_env, monkeypatch):
+    monkeypatch.chdir(bench_env)
+    argv = [
+        "bench", "--suite", "serve", "--tenants", "2", "--requests", "2",
+        "--output", "BENCH_sweeps.json",
+    ]
+    assert main(argv) == 0
+    report = json.loads((bench_env / "BENCH_sweeps.json").read_text())
+    assert report["suite"] == "serve"
+    assert not (bench_env / "BENCH_serve.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "fleet", "--chips", "4", "--epochs", "4"],
+        ["--suite", "serve", "--tenants", "2", "--requests", "2"],
+    ],
+    ids=["fleet", "serve"],
+)
+def test_gate_suites_pass_with_the_common_envelope(bench_env, argv):
+    out = bench_env / "BENCH.json"
+    assert main(["bench", *argv, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    envelope = {
+        "version", "suite", "code_fingerprint", "environment", "gates",
+        "ok",
+    }
+    assert envelope <= set(report)
+    assert report["suite"] == argv[1]
+    assert {"nproc", "python", "numpy"} <= set(report["environment"])
+    assert report["gates"]
+    assert all(report["gates"].values())
+    assert report["ok"] is True
 
 
 def test_figure_command_accepts_jobs(bench_env, capsys, monkeypatch):
@@ -137,6 +195,35 @@ def test_tracesim_bench_schema_and_cache_behaviour(bench_env, capsys):
     summary = capsys.readouterr().out
     assert "speedup" in summary
     assert str(out) in summary
+
+
+def test_tracesim_bench_fails_when_reference_diverges(
+    bench_env, capsys, monkeypatch
+):
+    import dataclasses
+
+    from repro.sim.reference import ReferenceTraceSimulator
+
+    real_stats = ReferenceTraceSimulator.stats
+
+    def perturbed(self):
+        stats = real_stats(self)
+        stats[0] = dataclasses.replace(
+            stats[0], llc_hits=stats[0].llc_hits + 1
+        )
+        return stats
+
+    monkeypatch.setattr(ReferenceTraceSimulator, "stats", perturbed)
+    out = bench_env / "BENCH_tracesim.json"
+    argv = [
+        "bench", "--suite", "tracesim", "--accesses", "200",
+        "--seeds", "1", "--jobs", "1", "--output", str(out),
+    ]
+    assert main(argv) == 1
+    assert "FAILED gates: stats_identical" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["gates"] == {"stats_identical": False}
+    assert report["ok"] is False
 
 
 def test_tracesim_bench_profile_dumps_pstats(bench_env):

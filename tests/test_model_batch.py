@@ -27,28 +27,6 @@ from repro.sim.queueing import LcRequestSimulator, run_epoch_batch
 EPOCH = 250_000.0  # cycles; small epochs keep hypothesis cases fast
 
 
-def _canonical(result):
-    """A RunResult as plain comparable data (every observable)."""
-    return (
-        result.design,
-        result.load,
-        result.warmup_epochs,
-        sorted(result.lc_deadlines.items()),
-        sorted(result.lc_all_latencies.items()),
-        [
-            (
-                e.epoch,
-                sorted(e.lc_tails.items()),
-                sorted(e.lc_sizes.items()),
-                sorted(e.batch_ipcs.items()),
-                e.vulnerability,
-                sorted(vars(e.energy).items()),
-            )
-            for e in result.epochs
-        ],
-    )
-
-
 def _sim_state(sim):
     """Every piece of cross-epoch simulator state, for exact compare."""
     return (
@@ -175,7 +153,7 @@ class TestBatchSystemModel:
                 seed=10 + m,
                 engine="fast",
             ).run(4)
-            assert _canonical(res) == _canonical(solo)
+            assert res.canonical() == solo.canonical()
 
     def test_matches_reference_engine(self):
         batch = BatchSystemModel(
@@ -189,7 +167,7 @@ class TestBatchSystemModel:
                 seed=seed,
                 engine="reference",
             ).run(3)
-            assert _canonical(res) == _canonical(ref)
+            assert res.canonical() == ref.canonical()
 
     def test_single_epoch(self):
         batch = BatchSystemModel("Static", _workloads([5]), seeds=[1])
@@ -200,7 +178,7 @@ class TestBatchSystemModel:
             seed=1,
             engine="fast",
         ).run(1)
-        assert _canonical(got[0]) == _canonical(solo)
+        assert got[0].canonical() == solo.canonical()
 
     def test_empty_mix_list(self):
         batch = BatchSystemModel("Static", [], seeds=[])
@@ -230,7 +208,7 @@ class TestBatchSystemModel:
                 seed=seed,
                 engine="fast",
             ).run(2)
-            assert _canonical(res) == _canonical(solo)
+            assert res.canonical() == solo.canonical()
 
     def test_stage_times_cover_the_run(self):
         batch = BatchSystemModel("Adaptive", _workloads([0, 1]))

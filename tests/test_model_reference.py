@@ -279,33 +279,12 @@ class TestPlacementMemoisation:
 # -- end to end --------------------------------------------------------------
 
 
-def _canonical(result):
-    return (
-        result.design,
-        result.load,
-        result.warmup_epochs,
-        sorted(result.lc_deadlines.items()),
-        sorted(result.lc_all_latencies.items()),
-        [
-            (
-                e.epoch,
-                sorted(e.lc_tails.items()),
-                sorted(e.lc_sizes.items()),
-                sorted(e.batch_ipcs.items()),
-                e.vulnerability,
-                sorted(vars(e.energy).items()),
-            )
-            for e in result.epochs
-        ],
-    )
-
-
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("design", ["Static", "Jigsaw", "Jumanji"])
     def test_system_model_fast_matches_reference(self, design):
         fast = _model(design, engine="fast").run(5)
         ref = _model(design, engine="reference").run(5)
-        assert _canonical(fast) == _canonical(ref)
+        assert fast.canonical() == ref.canonical()
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
