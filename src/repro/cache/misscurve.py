@@ -16,12 +16,23 @@ typically MB or ways) to a miss rate. The module also provides:
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Hashable, Iterable, List, Optional
+from typing import Sequence, Tuple, TypeVar
 
 import numpy as np
 
-__all__ = ["MissCurve", "combine_curves", "chain_argbest"]
+__all__ = [
+    "MissCurve",
+    "BoundedCache",
+    "combine_curves",
+    "chain_argbest",
+    "horizon_scan",
+    "replay_records",
+]
+
+_V = TypeVar("_V")
 
 
 class MissCurve:
@@ -225,6 +236,17 @@ class MissCurve:
         return MissCurve(np.interp(grid, sizes[order], misses[order]), step)
 
 
+def _record_indices(utils: np.ndarray) -> List[int]:
+    """Indices at which ``utils`` strictly exceeds every earlier value."""
+    if utils.size == 0:
+        return []
+    running = np.maximum.accumulate(utils)
+    prev = np.empty_like(running)
+    prev[0] = -np.inf
+    prev[1:] = running[:-1]
+    return np.flatnonzero(utils > prev).tolist()
+
+
 def chain_argbest(
     utils: np.ndarray, best_util: float, eps: float = 1e-15
 ) -> Tuple[float, int]:
@@ -242,14 +264,8 @@ def chain_argbest(
     Returns ``(new_best_util, accepted_index)`` where the index is the
     last accepted candidate, or -1 if nothing beat ``best_util``.
     """
-    if utils.size == 0:
-        return best_util, -1
-    running = np.maximum.accumulate(utils)
-    prev = np.empty_like(running)
-    prev[0] = -np.inf
-    prev[1:] = running[:-1]
     best_idx = -1
-    for i in np.flatnonzero(utils > prev).tolist():
+    for i in _record_indices(utils):
         util = float(utils[i])
         if util > best_util + eps:
             best_util = util
@@ -257,12 +273,92 @@ def chain_argbest(
     return best_util, best_idx
 
 
+#: One horizon of a Lookahead scan: ``(index, util, delta)``.
+ScanRecord = Tuple[int, float, float]
+
+
+def horizon_scan(
+    curve: MissCurve, current: float, max_steps: int, step: float
+) -> Tuple[ScanRecord, ...]:
+    """The Lookahead horizon scan from ``current``, as prefix-max records.
+
+    Horizon ``i`` grows the allocation by ``delta = (i + 1) * step``
+    (``i < max_steps``) at the average marginal utility
+    ``(misses(current) - misses(current + delta)) / delta``. Only the
+    strict prefix-max records are returned: by the argument in
+    :func:`chain_argbest` no other horizon can be accepted, whatever
+    ``best_util`` the chain arrives with, so :func:`replay_records`
+    over them is bit-identical to the full sequential scan.
+    """
+    if max_steps < 1:
+        return ()
+    deltas = np.arange(1, max_steps + 1, dtype=float) * step
+    utils = (
+        curve.misses_at(current) - curve.misses_at_many(current + deltas)
+    ) / deltas
+    return tuple(
+        (i, float(utils[i]), float(deltas[i]))
+        for i in _record_indices(utils)
+    )
+
+
+def replay_records(
+    records: Iterable[ScanRecord], best_util: float, eps: float = 1e-15
+) -> Tuple[float, int, float]:
+    """Run the ``util > best_util + eps`` chain over scan records.
+
+    Returns ``(best_util, index, delta)`` of the last accepted record,
+    or ``(best_util, -1, 0.0)`` if none beat the incoming ``best_util``.
+    """
+    best_idx, best_delta = -1, 0.0
+    for idx, util, delta in records:
+        if util > best_util + eps:
+            best_util, best_idx, best_delta = util, idx, delta
+    return best_util, best_idx, best_delta
+
+
+#: The one lock of every :class:`BoundedCache`: the serve daemon decides
+#: for different sessions on different threads, and unguarded, one
+#: thread's ``move_to_end`` after a hit races another's eviction.
+_CACHE_LOCK = threading.Lock()
+
+
+class BoundedCache:
+    """A bounded, thread-safe LRU memo over content keys.
+
+    Equal keys mean equal values, so a hit is as good as a rebuild.
+    Values must not be ``None``. ``build`` runs outside the lock:
+    threads that miss on the same key all build it, and the last
+    (equal) value is kept.
+    """
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._data)
+
+    def get_or_build(self, key: Hashable, build: Callable[[], _V]) -> _V:
+        """The value under ``key``, calling ``build()`` on a miss."""
+        with _CACHE_LOCK:
+            value = self._data.get(key)
+            if value is not None:
+                self._data.move_to_end(key)
+                return value
+        value = build()
+        with _CACHE_LOCK:
+            self._data[key] = value
+            while len(self._data) > self.maxsize:
+                self._data.popitem(last=False)
+        return value
+
+
 #: Content-keyed cache for :func:`combine_curves`. The epoch loop
 #: recombines the same static VM curves every reconfiguration; keying on
 #: curve fingerprints makes that free while staying correct for drifting
 #: (UMON-measured) curves, which produce new fingerprints.
-_COMBINE_CACHE: "OrderedDict[Tuple[bytes, ...], MissCurve]" = OrderedDict()
-_COMBINE_CACHE_MAX = 256
+_COMBINE_CACHE = BoundedCache(256)
 
 
 def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
@@ -288,11 +384,14 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
     step = curve_list[0].step
     if any(c.step != step for c in curve_list):
         raise ValueError("all curves must share the same step")
-    key = tuple(c.fingerprint for c in curve_list)
-    cached = _COMBINE_CACHE.get(key)
-    if cached is not None:
-        _COMBINE_CACHE.move_to_end(key)
-        return cached
+    return _COMBINE_CACHE.get_or_build(
+        tuple(c.fingerprint for c in curve_list),
+        lambda: _combine(curve_list, step),
+    )
+
+
+def _combine(curve_list: List[MissCurve], step: float) -> MissCurve:
+    """The uncached body of :func:`combine_curves`."""
     num_points = max(c.num_points for c in curve_list)
 
     # Lookahead allocation: repeatedly grant the multi-step extension with
@@ -317,14 +416,10 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
         best_app = -1
         best_util = -1.0
         best_k = 1
-        deltas = np.arange(1, remaining + 1, dtype=float) * step
         for i, curve in enumerate(curve_list):
-            # Vectorised horizon scan; chain_argbest replays the exact
-            # sequential tie-break of the scalar code.
-            utils = (
-                current[i] - curve.misses_at_many(allocs[i] + deltas)
-            ) / deltas
-            best_util, idx = chain_argbest(utils, best_util)
+            best_util, idx, _ = replay_records(
+                horizon_scan(curve, allocs[i], remaining, step), best_util
+            )
             if idx >= 0:
                 best_app = i
                 best_k = idx + 1
@@ -338,8 +433,4 @@ def combine_curves(curves: Iterable[MissCurve]) -> MissCurve:
             current[best_app] = curve.misses_at(allocs[best_app])
             granted += 1
             combined[granted] = sum(current)
-    result = MissCurve(combined, step)
-    _COMBINE_CACHE[key] = result
-    while len(_COMBINE_CACHE) > _COMBINE_CACHE_MAX:
-        _COMBINE_CACHE.popitem(last=False)
-    return result
+    return MissCurve(combined, step)

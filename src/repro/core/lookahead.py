@@ -17,39 +17,34 @@ requires.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Mapping, Optional, Tuple
 
 from .. import obs
-from ..cache.misscurve import MissCurve, chain_argbest
+from ..cache.misscurve import (
+    BoundedCache,
+    MissCurve,
+    ScanRecord,
+    horizon_scan,
+    replay_records,
+)
 
 __all__ = ["lookahead", "jumanji_lookahead"]
 
 
-def _best_step(
-    curve: MissCurve, current: float, budget: float, step: float
-) -> Tuple[float, float]:
-    """Best (utility-per-unit, size-delta) reachable from ``current``.
+#: Memo of the two placers' horizon scans. The fleet reruns them every
+#: epoch over the same shared curves, and most scans repeat an earlier
+#: (curve, size, horizon) exactly; the key is everything the scan reads.
+_SCAN_MEMO = BoundedCache(4096)
 
-    Scans look-ahead horizons of 1..k steps (k limited by ``budget``) and
-    returns the horizon with maximal average marginal utility. This is
-    the maximal-marginal-utility scan at the heart of UCP Lookahead.
-    The horizon evaluation is vectorised over the curve; the sequential
-    scan below keeps the scalar code's exact tie-breaking.
-    """
-    max_steps = int(budget / step + 1e-9)
-    best_util = -1.0
-    best_delta = 0.0
-    if max_steps < 1:
-        return best_util, best_delta
-    base = curve.misses_at(current)
-    deltas = np.arange(1, max_steps + 1, dtype=float) * step
-    utils = (base - curve.misses_at_many(current + deltas)) / deltas
-    best_util, idx = chain_argbest(utils, best_util)
-    if idx >= 0:
-        best_delta = float(deltas[idx])
-    return best_util, best_delta
+
+def _scan(
+    curve: MissCurve, current: float, max_steps: int, step: float
+) -> Tuple[ScanRecord, ...]:
+    """Memoised :func:`~repro.cache.misscurve.horizon_scan`."""
+    return _SCAN_MEMO.get_or_build(
+        (curve.fingerprint, current, max_steps, step),
+        lambda: horizon_scan(curve, current, max_steps, step),
+    )
 
 
 def lookahead(
@@ -85,7 +80,7 @@ def lookahead(
     if remaining < -1e-9:
         raise ValueError("minimums exceed capacity")
 
-    # Round-to-round memo of each app's _best_step result. Only the
+    # Round-to-round memo of each app's best (util, delta). Only the
     # winning app's size changes between rounds, and the budget only
     # shrinks; a cached (util, delta) stays the maximum over the
     # shrunken horizon as long as its own horizon still fits (a max
@@ -104,8 +99,8 @@ def lookahead(
             if hit is not None and hit[2] <= max_steps:
                 util, delta = hit[0], hit[1]
             else:
-                util, delta = _best_step(
-                    curve, sizes[app], remaining, step
+                util, _, delta = replay_records(
+                    _scan(curve, sizes[app], max_steps, step), -1.0
                 )
                 best_cache[app] = (
                     util, delta, int(delta / step + 1e-9)
@@ -206,13 +201,16 @@ def _jumanji_lookahead_impl(
         best_vm = None
         best_util = -1.0
         best_banks = 0
-        deltas = np.arange(1, remaining + 1, dtype=float) * bank_mb
         for vm in vms:
-            cur = batch_mb(vm, banks_of[vm])
-            curve = vm_curves[vm]
-            base = curve.misses_at(cur)
-            utils = (base - curve.misses_at_many(cur + deltas)) / deltas
-            best_util, idx = chain_argbest(utils, best_util)
+            best_util, idx, _ = replay_records(
+                _scan(
+                    vm_curves[vm],
+                    batch_mb(vm, banks_of[vm]),
+                    remaining,
+                    bank_mb,
+                ),
+                best_util,
+            )
             if idx >= 0:
                 best_vm = vm
                 best_banks = idx + 1

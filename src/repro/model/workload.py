@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..cache.misscurve import MissCurve
+from ..cache.misscurve import BoundedCache, MissCurve
 from ..config import CORE_FREQ_HZ, SystemConfig, VmSpec
 from ..core.context import AppInfo, PlacementContext
 from ..noc.mesh import MeshNoc
@@ -29,6 +29,15 @@ __all__ = ["WorkloadSpec", "make_default_workload"]
 #: Miss curves are sampled on this grid for placement decisions.
 CURVE_STEP_MB = 0.125
 CURVE_POINTS = 176  # covers 0..21.875 MB, beyond the 20 MB LLC
+
+#: The fast engine's (curve, intensity) pairs, shared by every spec. A
+#: pair depends only on its key — LC: (profile, load); batch: (profile,
+#: config, params, app count), the count fixing the fair share the IPC
+#: estimate is taken at — so the fleet, which builds a new spec on each
+#: admit and release, builds each 176-point curve once. The reference
+#: engine bypasses it (build_context(engine="reference")) to keep the
+#: scalar baseline's per-epoch rebuild cost.
+_CURVE_CACHE = BoundedCache(1024)
 
 
 @dataclass
@@ -57,13 +66,7 @@ class WorkloadSpec:
             for vm in self.vms
             for a in vm.batch_apps
         }
-        # Per-app (curve, intensity) cache for the fast engine: the
-        # analytic profiles and the load level are fixed for the
-        # spec's lifetime, so the 176-point curves need building only
-        # once instead of every epoch. The reference engine bypasses
-        # this (build_context(engine="reference")) to keep the scalar
-        # baseline's per-epoch rebuild cost.
-        self._curve_cache: Dict[str, Tuple[MissCurve, float]] = {}
+        self._num_apps = len(self.lc_apps) + len(self.batch_apps)
 
     # -- lookups -------------------------------------------------------------------
 
@@ -128,9 +131,7 @@ class WorkloadSpec:
         """(misses-per-kilocycle curve, accesses-per-kilocycle) for a
         batch app, converting MPKI via an IPC estimate at a fair share."""
         profile = self._batch_profiles[app]
-        fair_mb = self.config.llc_size_mb / max(
-            1, len(self.batch_apps) + len(self.lc_apps)
-        )
+        fair_mb = self.config.llc_size_mb / max(1, self._num_apps)
         ipc_est = estimate_ipc(
             profile, fair_mb, 16.0, self.config, self.params
         )
@@ -157,17 +158,18 @@ class WorkloadSpec:
     def _curve_of(
         self, app: str, is_lc: bool, use_cache: bool
     ) -> Tuple[MissCurve, float]:
-        if use_cache:
-            hit = self._curve_cache.get(app)
-            if hit is None:
-                hit = (
-                    self._lc_curve(app)
-                    if is_lc
-                    else self._batch_curve(app)
-                )
-                self._curve_cache[app] = hit
-            return hit
-        return self._lc_curve(app) if is_lc else self._batch_curve(app)
+        if not use_cache:
+            return self._lc_curve(app) if is_lc else self._batch_curve(app)
+        if is_lc:
+            return _CURVE_CACHE.get_or_build(
+                (self._lc_profiles[app], self.load),
+                lambda: self._lc_curve(app),
+            )
+        return _CURVE_CACHE.get_or_build(
+            (self._batch_profiles[app], self.config, self.params,
+             self._num_apps),
+            lambda: self._batch_curve(app),
+        )
 
     def build_context(
         self,
@@ -180,8 +182,8 @@ class WorkloadSpec:
         ``engine`` selects the placement implementation the context's
         consumers will use (``"fast"`` or ``"reference"``, see
         :mod:`repro.model.reference`); the reference path also rebuilds
-        the miss curves from the profiles instead of using the per-spec
-        cache.
+        the miss curves from the profiles instead of using the shared
+        curve cache.
         """
         noc = noc if noc is not None else MeshNoc(self.config)
         use_cache = engine != "reference"
