@@ -845,6 +845,7 @@ def _run_obs(
     """
     from . import obs
     from .core.designs import make_design
+    from .core.runtime import clear_shared_memos
     from .experiments.common import num_epochs, run_seed
     from .model.system import SystemModel
     from .model.workload import make_default_workload
@@ -855,6 +856,9 @@ def _run_obs(
     seed = run_seed(0, 0)
 
     def one_run():
+        # Each run places as a first run in a fresh process does, so
+        # the timed and traced runs all run (and span) the placer.
+        clear_shared_memos()
         workload = make_default_workload(
             [lc_workload], mix_seed=0, load=load
         )
@@ -975,7 +979,9 @@ def _run_fleet(
     ``REPRO_FLEET_EPOCHS`` or 10) — diurnal load, Poisson churn, a
     possible flash crowd, and rack-correlated chip failures — twice end
     to end, and records chip-epochs/s of the slower run so regressions
-    in the hierarchical epoch loop show up in the report. Gates:
+    in the hierarchical epoch loop show up in the report. It also
+    reports the process-wide placement memo: its hits and misses over
+    the two runs, its size and its bound. Gates:
 
     * ``identical_results`` — the two canonical results serialise
       byte-identically (``FleetResult.to_json``); any wall-clock or
@@ -990,6 +996,7 @@ def _run_fleet(
       its ``--checkpoint`` journal serialises byte-identically to an
       uninterrupted run of the same scenario.
     """
+    from .core.runtime import placement_memo_stats
     from .faults import FaultPlan
     from .fleet import Fleet, FleetJournal, Scenario, run_fleet
 
@@ -1008,6 +1015,7 @@ def _run_fleet(
 
     runs: List[Dict[str, Any]] = []
     payloads: List[str] = []
+    memo_before = placement_memo_stats()
     for _ in range(2):
         start = time.perf_counter()
         result = run_fleet(scenario)
@@ -1027,6 +1035,13 @@ def _run_fleet(
 
     deterministic = payloads[0] == payloads[1]
     invariants_ok = all(r["ok"] for r in runs)
+    memo = placement_memo_stats()
+    memo_report = {
+        "hits": memo["hits"] - memo_before["hits"],
+        "misses": memo["misses"] - memo_before["misses"],
+        "size": memo["size"],
+        "maxsize": memo["maxsize"],
+    }
 
     # Resilience storm: failures every epoch, most chips repairable,
     # stragglers, and enough churn that repaired sockets are needed
@@ -1110,6 +1125,7 @@ def _run_fleet(
         ),
         "determinism": {"identical_results": deterministic},
         "invariants": {"ok": invariants_ok},
+        "placement_memo": memo_report,
         "resilience": {
             "scenario": storm.as_params(),
             "counters": dict(storm_result.counters),
@@ -1154,9 +1170,13 @@ def _summarize_fleet(report: Dict[str, Any]) -> str:
         )
     res = report["resilience"]
     ck = report["checkpoint"]
+    memo = report["placement_memo"]
     lines += [
         f"  deterministic results: "
         f"{report['determinism']['identical_results']}",
+        f"  shared placement memo: {memo['hits']} hits, "
+        f"{memo['misses']} misses, {memo['size']}/{memo['maxsize']} "
+        f"entries",
         f"  resilience storm: {res['counters']['repairs']} repairs, "
         f"{len(res['repaired_serving'])} repaired chip(s) serving, "
         f"{len(res['invariant_violations'])} violations "

@@ -335,22 +335,43 @@ class BoundedCache:
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._data: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: Lookup statistics (:meth:`get` calls that found / missed).
+        self.hits = 0
+        self.misses = 0
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def get_or_build(self, key: Hashable, build: Callable[[], _V]) -> _V:
-        """The value under ``key``, calling ``build()`` on a miss."""
+    def get(self, key: Hashable) -> Any:
+        """The value under ``key``, or ``None`` on a miss."""
         with _CACHE_LOCK:
             value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-                return value
-        value = build()
+            if value is None:
+                self.misses += 1
+                return None
+            self.hits += 1
+            self._data.move_to_end(key)
+            return value
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Store ``value`` under ``key``, evicting the least recent."""
         with _CACHE_LOCK:
             self._data[key] = value
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
+
+    def clear(self) -> None:
+        """Drop every entry and zero the statistics."""
+        with _CACHE_LOCK:
+            self._data.clear()
+            self.hits = self.misses = 0
+
+    def get_or_build(self, key: Hashable, build: Callable[[], _V]) -> _V:
+        """The value under ``key``, calling ``build()`` on a miss."""
+        value = self.get(key)
+        if value is None:
+            value = build()
+            self.put(key, value)
         return value
 
 
@@ -411,15 +432,24 @@ def _combine(curve_list: List[MissCurve], step: float) -> MissCurve:
     combined = np.empty(num_points, dtype=float)
     combined[0] = sum(current)
     granted = 0
+    # Each app's scan records, rescanned only when its allocation
+    # changes. Utility ``i`` does not depend on the horizon length, so
+    # the records of a shorter horizon are the longer scan's records
+    # with ``index < remaining``: trimming replays a fresh scan exactly.
+    records = [
+        horizon_scan(c, 0.0, num_points - 1, step) for c in curve_list
+    ]
     while granted < num_points - 1:
         remaining = num_points - 1 - granted
         best_app = -1
         best_util = -1.0
         best_k = 1
-        for i, curve in enumerate(curve_list):
-            best_util, idx, _ = replay_records(
-                horizon_scan(curve, allocs[i], remaining, step), best_util
-            )
+        for i, recs in enumerate(records):
+            if recs and recs[-1][0] >= remaining:
+                recs = records[i] = tuple(
+                    r for r in recs if r[0] < remaining
+                )
+            best_util, idx, _ = replay_records(recs, best_util)
             if idx >= 0:
                 best_app = i
                 best_k = idx + 1
@@ -433,4 +463,7 @@ def _combine(curve_list: List[MissCurve], step: float) -> MissCurve:
             current[best_app] = curve.misses_at(allocs[best_app])
             granted += 1
             combined[granted] = sum(current)
+        records[best_app] = horizon_scan(
+            curve, allocs[best_app], num_points - 1 - granted, step
+        )
     return MissCurve(combined, step)

@@ -10,14 +10,22 @@ same ``allocate(ctx) -> Allocation`` interface.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Tuple
 
 from ..cache.misscurve import MissCurve
 from ..config import Engine, SystemConfig, VmSpec
 from ..noc.mesh import MeshNoc
+from .allocation import PARTITION_MODES, Allocation
 
-__all__ = ["AppInfo", "PlacementContext"]
+__all__ = [
+    "AppInfo",
+    "PlacementContext",
+    "pack_allocation",
+    "unpack_allocation",
+]
 
 
 @dataclass(frozen=True)
@@ -128,32 +136,169 @@ class PlacementContext:
         """Representative tile for a VM (hop-minimising centroid)."""
         return self.noc.centroid_tile(list(vm.cores))
 
-    def fingerprint(self) -> Tuple:
+    def fingerprint(self) -> Tuple[bytes, Tuple[str, ...], Tuple[int, ...]]:
         """Hashable identity of every placement-relevant input.
 
-        Two contexts with equal fingerprints make any (deterministic)
-        placer produce the same allocation: the tuple covers the LC size
-        targets, the VM layout, and each app's tile/role/intensity plus
-        the *content* digest of its miss curve — so drifting
-        UMON-measured curves (new fingerprints) never alias a stale
-        memoised placement. Used as the placement-memo key by
-        :class:`repro.core.runtime.JumanjiRuntime`.
+        Returns ``(key, names, vm_ids)``. ``names`` and ``vm_ids`` are
+        the sorted app names and VM ids; ``key`` is name-free: it holds
+        each app as its rank in ``names`` and each VM as its rank in
+        ``vm_ids``, and covers the LC size targets, the VM layout
+        (cores, LC and batch apps), and each app's tile, VM, role,
+        intensity and miss-curve *content* digest, in ``apps`` order.
+        So drifting UMON-measured curves (new digests) never alias a
+        stale memoised placement.
+
+        ``key`` is a :func:`_pack` of the integers (each list led by
+        its length, so they parse unambiguously), the float sizes and
+        intensities, and the 16-byte curve digests.
+
+        The whole triple identifies the context; ``key`` alone
+        identifies it up to an order-preserving renaming of apps and
+        VMs. The placers break ties only by name and VM-id order, so
+        two contexts with equal keys place identically under the
+        renaming. :class:`repro.core.runtime.JumanjiRuntime` keys its
+        own memo on the triple and the process-wide one on ``key``.
         """
-        return (
-            tuple(sorted(self.lat_sizes.items())),
-            tuple(
-                (vm.vm_id, tuple(vm.cores), tuple(vm.apps))
-                for vm in self.vms
-            ),
-            tuple(
-                (
-                    name,
-                    info.tile,
-                    info.vm_id,
-                    info.is_lc,
-                    info.intensity,
-                    info.curve.fingerprint,
-                )
-                for name, info in sorted(self.apps.items())
-            ),
-        )
+        names = tuple(sorted(self.apps))
+        vm_ids = tuple(sorted(
+            {vm.vm_id for vm in self.vms}
+            | {info.vm_id for info in self.apps.values()}
+        ))
+        rank, vm_rank = _ranks(names), _ranks(vm_ids)
+        lat = sorted(self.lat_sizes.items())
+        ints = [len(lat)]
+        ints += [rank[app] for app, _ in lat]
+        floats = [size for _, size in lat]
+        ints.append(len(self.vms))
+        for vm in self.vms:
+            ints += (vm_rank[vm.vm_id], len(vm.cores), *vm.cores)
+            ints.append(len(vm.lc_apps))
+            ints += [rank[a] for a in vm.lc_apps]
+            ints.append(len(vm.batch_apps))
+            ints += [rank[a] for a in vm.batch_apps]
+        ints.append(len(self.apps))
+        digests = []
+        for name, info in self.apps.items():
+            ints += (
+                rank[name], info.tile, vm_rank[info.vm_id], info.is_lc
+            )
+            floats.append(info.intensity)
+            digests.append(info.curve.fingerprint)
+        return _pack(ints, floats, b"".join(digests)), names, vm_ids
+
+
+# The name-free encoding: ``fingerprint`` keys a context, and
+# ``pack_allocation``/``unpack_allocation`` store its placement, with
+# each app name and VM id replaced by its rank in sorted order.
+
+
+def _ranks(items: Sequence) -> Dict:
+    """Each item's rank (its index) in ``items``."""
+    return {item: i for i, item in enumerate(items)}
+
+
+def _pack(
+    ints: List[int], floats: Sequence[float], tail: bytes = b""
+) -> bytes:
+    """``ints`` led by their count, ``floats`` as bit-exact doubles, then
+    ``tail``: one byte string, which hashes once and is a fraction of
+    the size of the nested tuples it encodes."""
+    return b"".join((
+        array("i", [len(ints), *ints]).tobytes(),
+        array("d", floats).tobytes(),
+        tail,
+    ))
+
+
+def _unpack(data: bytes) -> Tuple[Iterator[int], Iterator[float]]:
+    """The ints and floats of a tail-less :func:`_pack`, as iterators."""
+    view = memoryview(data)
+    end = 4 * (1 + view[:4].cast("i")[0])
+    return (
+        iter(view[4:end].cast("i").tolist()),
+        iter(view[end:].cast("d").tolist()),
+    )
+
+
+def pack_allocation(
+    allocation: Allocation, names: Sequence[str], vm_ids: Sequence[int]
+) -> bytes:
+    """``allocation`` packed with app names and VM ids as ranks in
+    ``names`` and ``vm_ids`` (the last two parts of a fingerprint).
+
+    It keeps every bank map's insertion order, so
+    :func:`unpack_allocation` rebuilds, under any names that rank the
+    same, an allocation whose order-dependent float sums are
+    bit-identical to this one. The ints are the partition mode and
+    engine flag, then per bank ``bank, count, rank...``, then the dirty
+    banks, the shared-batch ranks and the ``(app, VM)`` rank pairs of
+    the partition groups, each led by its length; the grants in MB
+    follow in bank-map order.
+
+    Only VM-Part groups apps, always as ``vm<id>``; another group name
+    (or an app outside ``names``) raises ``KeyError``.
+    """
+    rank = _ranks(names)
+    group_rank = _ranks([f"vm{v}" for v in vm_ids])
+    ints = [
+        PARTITION_MODES.index(allocation.partition_mode),
+        int(allocation.accelerated),
+        len(allocation.allocs),
+    ]
+    mbs: List[float] = []
+    for bank, bank_map in allocation.allocs.items():
+        ints += (bank, len(bank_map))
+        ints += [rank[app] for app in bank_map]
+        mbs += bank_map.values()
+    for part in (
+        sorted(allocation._dirty_totals),
+        sorted(rank[app] for app in allocation.shared_batch),
+    ):
+        ints.append(len(part))
+        ints += part
+    ints.append(len(allocation.partition_groups))
+    for app, group in allocation.partition_groups.items():
+        ints += (rank[app], group_rank[group])
+    return _pack(ints, mbs)
+
+
+def unpack_allocation(
+    data: bytes,
+    config: SystemConfig,
+    names: Sequence[str],
+    vm_ids: Sequence[int],
+) -> Allocation:
+    """The allocation :func:`pack_allocation` packed, under ``names``
+    and ``vm_ids``."""
+    ints, grants = _unpack(data)
+    mode, accelerated, num_banks = next(ints), next(ints), next(ints)
+    allocs: Dict[int, Dict[str, float]] = {}
+    for _ in range(num_banks):
+        bank, n = next(ints), next(ints)
+        allocs[bank] = {names[next(ints)]: next(grants) for _ in range(n)}
+    dirty = {next(ints) for _ in range(next(ints))}
+    shared = {names[next(ints)] for _ in range(next(ints))}
+    groups = {
+        names[next(ints)]: f"vm{vm_ids[next(ints)]}"
+        for _ in range(next(ints))
+    }
+    totals: Dict[int, float] = {}
+    if accelerated:
+        # The running totals the accelerated adds kept: left-to-right
+        # sums in insertion order (dirty banks recompute theirs).
+        for bank, bank_map in allocs.items():
+            if bank not in dirty:
+                total = 0.0
+                for mb in bank_map.values():
+                    total += mb
+                totals[bank] = total
+    return Allocation(
+        config,
+        allocs=allocs,
+        partition_mode=PARTITION_MODES[mode],
+        shared_batch=shared,
+        partition_groups=groups,
+        accelerated=bool(accelerated),
+        _totals=totals,
+        _dirty_totals=dirty,
+    )

@@ -35,11 +35,12 @@ import logging
 import random
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .. import obs
+from ..cache.misscurve import BoundedCache
 from ..config import (
     CORE_FREQ_HZ,
     RECONFIG_INTERVAL_CYCLES,
@@ -49,9 +50,9 @@ from ..config import (
 from ..errors import PlacementFailed, TelemetryInvalid
 from ..vtb.vtb import PlacementDescriptor, Vtb
 from .allocation import Allocation
-from .context import PlacementContext
+from .context import PlacementContext, pack_allocation, unpack_allocation
 from .controller import FeedbackController
-from .designs import LlcDesign
+from .designs import DESIGNS, LlcDesign
 
 __all__ = ["JumanjiRuntime", "ReconfigRecord", "PLACEMENT_OVERHEAD_FRACTION"]
 
@@ -63,6 +64,43 @@ PLACEMENT_OVERHEAD_CYCLES = 11.9e6
 PLACEMENT_OVERHEAD_FRACTION = PLACEMENT_OVERHEAD_CYCLES / (
     20 * RECONFIG_INTERVAL_CYCLES
 )
+
+
+#: Process-wide placement memo: a name-free placement problem (design,
+#: hardware, engine and the context's rank-form fingerprint) -> its
+#: allocation, packed by :func:`~repro.core.context.pack_allocation`.
+#: Fleet chips and serve sessions with the same problem under
+#: different tenant names share one placement.
+_PLACEMENT_MEMO = BoundedCache(4096)
+
+#: Process-wide descriptor memo. Keys are an app's grant vector (see
+#: :meth:`JumanjiRuntime._descriptor_for`) and a descriptor's entries:
+#: equal descriptors are interned to one object, so reinstalling one
+#: skips the VTB walk by identity.
+_DESCRIPTOR_MEMO = BoundedCache(512)
+
+#: The designs whose placers read app names and VM ids only through
+#: their order (the property the shared memo relies on, tested in
+#: ``tests/test_placement_memo.py``).
+_NAME_FREE_DESIGNS = frozenset(DESIGNS.values())
+
+
+def clear_shared_memos() -> None:
+    """Empty the process-wide placement and descriptor memos, so the
+    next placements run as in a fresh process."""
+    _PLACEMENT_MEMO.clear()
+    _DESCRIPTOR_MEMO.clear()
+
+
+def placement_memo_stats() -> Dict[str, int]:
+    """Hits, misses, size and bound of the process-wide placement memo."""
+    memo = _PLACEMENT_MEMO
+    return {
+        "hits": memo.hits,
+        "misses": memo.misses,
+        "size": len(memo),
+        "maxsize": memo.maxsize,
+    }
 
 
 @dataclass
@@ -113,25 +151,26 @@ class JumanjiRuntime:
         #: context fingerprint, which covers the controller's LC sizes,
         #: the app->tile map, and every miss curve's content digest, so
         #: a hit is provably the same placement problem.
+        #: A miss in this memo falls back to the process-wide
+        #: ``_PLACEMENT_MEMO`` before running the placer; only this
+        #: one decides ``memo_hit``, the counters and object identity.
         self._memoize = memoize_placement
         self._memo_size = memo_size
         self._memo: "OrderedDict[tuple, Allocation]" = OrderedDict()
         #: Memo statistics for benchmarks/tests.
         self.memo_hits = 0
         self.memo_misses = 0
-        # Sub-epoch memoisation (fast engine only, same gate as
-        # the placement memo): placement descriptors are pure functions
-        # of an app's per-bank allocation *vector*, and — because IEEE
-        # division of ``c`` by an exact small-integer multiple ``B*c``
-        # yields the same quotient for every ``c`` — a *uniform* stripe
-        # (every S-NUCA design's shape) maps to one canonical descriptor
-        # per bank set regardless of the absolute MB value. So feedback
+        self._shared_prefix: Optional[Tuple] = None
+        # Sub-epoch memoisation (fast engine only, same gate as the
+        # placement memo) in the process-wide ``_DESCRIPTOR_MEMO``:
+        # placement descriptors are pure functions of an app's
+        # per-bank allocation *vector*, and — because IEEE division of
+        # ``c`` by an exact small-integer multiple ``B*c`` yields the
+        # same quotient for every ``c`` — a *uniform* stripe (every
+        # S-NUCA design's shape) maps to one canonical descriptor per
+        # bank set regardless of the absolute MB value. So feedback
         # designs whose sizes drift every epoch (Adaptive) still hit
-        # this cache even though the whole-placement memo cannot fire.
-        self._desc_cache: "OrderedDict[tuple, PlacementDescriptor]" = (
-            OrderedDict()
-        )
-        self._desc_cache_size = 256
+        # this memo even though the whole-placement memo cannot fire.
         #: Sub-epoch memo statistics (descriptor-granularity hits).
         self.subepoch_hits = 0
         self.subepoch_misses = 0
@@ -300,7 +339,9 @@ class JumanjiRuntime:
         if not self._memoize:
             return allocation.descriptor_for(app)
         # Same (bank, mb) pairs in the same order the scalar scan over
-        # ``allocs`` produces — the grant rows use its insertion order.
+        # ``allocs`` produces — the grant rows use its insertion order,
+        # and so does the descriptor's float sum of the grants: the
+        # non-uniform key keeps that order.
         banks, rows = allocation._grant_rows()
         row = rows.get(app)
         if row is None:
@@ -312,18 +353,70 @@ class JumanjiRuntime:
         if len(values) == 1:
             key = ("u", tuple(sorted(b for b, _ in vec)))
         else:
-            key = ("v", tuple(sorted(vec)))
-        cached = self._desc_cache.get(key)
+            key = ("v", vec)
+        cached = _DESCRIPTOR_MEMO.get(key)
         if cached is not None:
-            self._desc_cache.move_to_end(key)
             self.subepoch_hits += 1
             return cached
         self.subepoch_misses += 1
-        descriptor = allocation.descriptor_for(app)
-        self._desc_cache[key] = descriptor
-        while len(self._desc_cache) > self._desc_cache_size:
-            self._desc_cache.popitem(last=False)
+        built = allocation.descriptor_for(app)
+        descriptor = _DESCRIPTOR_MEMO.get_or_build(
+            built.entries, lambda: built
+        )
+        _DESCRIPTOR_MEMO.put(key, descriptor)
         return descriptor
+
+    def _shared_key(self, ctx: PlacementContext, key: bytes) -> Any:
+        """The process-wide memo key of a context's name-free ``key``,
+        or ``None`` when this placement must not be shared."""
+        design = self.design
+        if type(design) not in _NAME_FREE_DESIGNS:
+            return None
+        prefix = (
+            type(design),
+            tuple(sorted(vars(design).items())),
+            ctx.config,
+            type(ctx.noc),
+            ctx.noc.config,
+            ctx.engine,
+        )
+        if prefix != self._shared_prefix:
+            self._shared_prefix = prefix
+        # Every entry this runtime adds shares one prefix object.
+        return self._shared_prefix, key
+
+    def _place(
+        self, ctx: PlacementContext, memo_key: Optional[Tuple]
+    ) -> Allocation:
+        """Run the placer, or rebuild its result from the shared memo."""
+        shared = None
+        if memo_key is not None:
+            key, names, vm_ids = memo_key
+            shared = self._shared_key(ctx, key)
+        if shared is not None:
+            packed = _PLACEMENT_MEMO.get(shared)
+            if packed is not None:
+                with obs.span(
+                    "placer.shared_hit", design=self.design.name,
+                    epoch=self.epoch,
+                ):
+                    return unpack_allocation(
+                        packed, ctx.config, names, vm_ids
+                    )
+        with obs.span(
+            "placer.allocate", design=self.design.name,
+            epoch=self.epoch,
+        ):
+            allocation = self.design.allocate(ctx)
+            allocation.validate()
+        if shared is not None:
+            try:
+                packed = pack_allocation(allocation, names, vm_ids)
+            except KeyError:
+                pass  # a name outside the context: keep it private
+            else:
+                _PLACEMENT_MEMO.put(shared, packed)
+        return allocation
 
     def _reconfigure(self) -> ReconfigRecord:
         """The reconfiguration body (spanned by :meth:`reconfigure`)."""
@@ -349,12 +442,7 @@ class JumanjiRuntime:
                 memo_hit = True
                 self.memo_hits += 1
             else:
-                with obs.span(
-                    "placer.allocate", design=self.design.name,
-                    epoch=self.epoch,
-                ):
-                    allocation = self.design.allocate(ctx)
-                    allocation.validate()
+                allocation = self._place(ctx, memo_key)
                 if memo_key is not None:
                     self.memo_misses += 1
                     self._memo[memo_key] = allocation

@@ -30,6 +30,7 @@ starts a fresh simulator, exactly like a real failover.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
@@ -177,10 +178,14 @@ class FleetChip:
         initial_lc_mb = (
             self.config.llc_size_mb * ControllerConfig().panic_fraction
         )
+        # The runtime reaches its chip through a weak reference: a bound
+        # method would make every chip and runtime a cycle that only the
+        # cyclic GC frees, so dead fleets would linger in memory.
+        chip = weakref.ref(self)
         self.runtime = JumanjiRuntime(
             self.design,
             self.config,
-            context_builder=self._build_context,
+            context_builder=lambda sizes: chip()._build_context(sizes),
             controller_config=ControllerConfig(
                 history_limit=history_limit
             ),

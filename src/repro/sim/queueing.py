@@ -274,30 +274,26 @@ class LcRequestSimulator:
             self._backlog.extend(arrivals[:room])
 
         latencies: List[float] = []
-        n = len(self._backlog)
-        if n:
-            a = np.asarray(self._backlog, dtype=float)
-            # Service times for every queued request are *peeked*; only
-            # the ones actually started this epoch are consumed, so the
-            # stream position matches the scalar reference exactly.
-            if self._services is not None:
-                scale = mean_service_cycles * self.service_cv**2
-                s = self._services.peek(n) * scale
-            else:
-                s = np.full(n, mean_service_cycles)
-            cum = np.cumsum(s)
-            cum_prev = np.empty(n)
-            cum_prev[0] = 0.0
-            cum_prev[1:] = cum[:-1]
-            # u-transform of the Lindley recurrence (module docstring):
-            # both u and the cumulative service are non-decreasing, so
-            # starts and completions are sorted and the epoch cut-offs
-            # are binary searches.
-            u = np.maximum(
-                np.maximum.accumulate(a - cum_prev), self._server_free_at
+        total = len(self._backlog)
+        if total:
+            # Only a prefix of an overloaded backlog can start this
+            # epoch. Scan an estimate of it, doubling until the last
+            # scanned request starts at or after the boundary: the
+            # scans are sequential and starts are sorted, so the
+            # prefix's values and cut-offs are the full scan's.
+            first = max(self._backlog[0], self._server_free_at)
+            n = min(
+                total,
+                int(max(epoch_end - first, 0.0) / mean_service_cycles
+                    * 1.25) + 16,
             )
-            starts = u + cum_prev
-            completions = u + cum
+            while True:
+                a, starts, completions = self._scan(
+                    n, mean_service_cycles
+                )
+                if n == total or starts[-1] >= epoch_end:
+                    break
+                n = min(2 * n, total)
             # Requests started before the boundary consume a variate
             # and occupy the server; at most the last one completes
             # beyond the boundary (service is not preempted mid-epoch;
@@ -331,6 +327,34 @@ class LcRequestSimulator:
             utilization=utilization,
             final_queue_depth=len(self._backlog),
         )
+
+    def _scan(
+        self, n: int, mean_service_cycles: float
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Arrivals, starts and completions of the first ``n`` queued
+        requests (the Lindley u-transform of the module docstring).
+
+        Service times are *peeked*; :meth:`run_epoch` consumes only the
+        ones actually started, so the stream position matches the
+        scalar reference exactly.
+        """
+        a = np.asarray(self._backlog[:n], dtype=float)
+        if self._services is not None:
+            scale = mean_service_cycles * self.service_cv**2
+            s = self._services.peek(n) * scale
+        else:
+            s = np.full(n, mean_service_cycles)
+        cum = np.cumsum(s)
+        cum_prev = np.empty(n)
+        cum_prev[0] = 0.0
+        cum_prev[1:] = cum[:-1]
+        # Both u and the cumulative service are non-decreasing, so
+        # starts and completions are sorted and the epoch cut-offs are
+        # binary searches.
+        u = np.maximum(
+            np.maximum.accumulate(a - cum_prev), self._server_free_at
+        )
+        return a, u + cum_prev, u + cum
 
     def _stage_epoch(
         self, duration_cycles: float

@@ -3,6 +3,17 @@
 import pytest
 
 from repro.config import SystemConfig
+from repro.core import runtime
+
+
+@pytest.fixture
+def fresh_placement_memos():
+    """Empty process-wide placement and descriptor memos, as in a fresh
+    process, for tests that count shared hits or need the placer itself
+    to run (and span): otherwise both depend on which tests ran before.
+    Returns the placement memo."""
+    runtime.clear_shared_memos()
+    return runtime._PLACEMENT_MEMO
 
 
 @pytest.fixture

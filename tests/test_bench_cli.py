@@ -136,6 +136,17 @@ def test_gate_suites_pass_with_the_common_envelope(bench_env, argv):
     assert report["ok"] is True
 
 
+def test_fleet_suite_reports_the_shared_placement_memo(bench_env):
+    out = bench_env / "BENCH.json"
+    argv = ["--suite", "fleet", "--chips", "4", "--epochs", "4"]
+    assert main(["bench", *argv, "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    memo = report["placement_memo"]
+    assert 0 < memo["size"] <= memo["maxsize"]
+    # The second run replays the first run's contexts on fresh chips.
+    assert memo["hits"] > 0
+
+
 def test_figure_command_accepts_jobs(bench_env, capsys, monkeypatch):
     monkeypatch.setenv("REPRO_MIXES", "1")
     monkeypatch.setenv("REPRO_EPOCHS", "2")

@@ -9,7 +9,9 @@ The property/chaos/golden suites build on these in
 ``test_fleet_golden.py``.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -201,6 +203,20 @@ class TestFleetChip:
         chip.tick(0)
         chip.release(0)
         assert chip.runtime.controller.sizes() == {}
+
+    def test_dropped_chip_is_freed_without_the_cyclic_gc(self):
+        # A chip/runtime reference cycle would keep every dead fleet in
+        # memory until the cyclic GC ran.
+        chip = FleetChip(0, seed=3)
+        chip.admit(make_vm(0))
+        chip.tick(0)
+        ref = weakref.ref(chip)
+        gc.disable()
+        try:
+            del chip
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_chip_deadline_uses_chip_hardware(self):
         small = chip_deadline_cycles("xapian", small_chip_config())

@@ -101,6 +101,19 @@ class TestQueueingEquivalence:
     def test_deterministic_service_cv_zero(self):
         _run_pair(1000.0, 0.0, 11, [(EPOCH, 2.0e6)] * 5)
 
+    @pytest.mark.parametrize("cv", [0.0, 0.4, 1.5, 5.0])
+    def test_unstable_queue_30_epochs_bit_identical(self, cv):
+        # rho = 1.4 for 25 epochs, then a fast drain: the backlog grows
+        # to hundreds of requests while the fast path scans only the
+        # prefix that can start in one epoch. At cv = 5 the skewed
+        # services often outrun its first estimate of that prefix.
+        qps = 1000.0
+        slow = 1.4 * 2.66e9 / qps
+        schedule = [(EPOCH, slow)] * 25 + [(EPOCH, slow / 20.0)] * 5
+        fast, _ = _run_pair(qps, cv, 17, schedule[:25])
+        assert fast.queue_depth > 500
+        _run_pair(qps, cv, 17, schedule)
+
     def test_service_change_mid_run(self):
         # The service mean changes every epoch (as the allocation does
         # in the system model); RNG stream positions must stay aligned.

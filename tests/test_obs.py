@@ -321,6 +321,7 @@ def _tiny_model_run(seed=7):
 
 
 class TestInstrumentation:
+    @pytest.mark.usefixtures("fresh_placement_memos")
     def test_model_run_covers_placer_stages(self):
         obs.configure(enabled=True)
         _tiny_model_run()
@@ -409,6 +410,7 @@ class TestSummaryAndCli:
         assert "retries: 2, degradations: 1" in text
         assert "work" in text
 
+    @pytest.mark.usefixtures("fresh_placement_memos")
     def test_cli_run_writes_trace_and_metrics(self, tmp_path, capsys):
         trace = tmp_path / "run.jsonl"
         metrics = tmp_path / "run.txt"

@@ -82,6 +82,53 @@ class TestRecordReplay:
                              else 0.0)
 
 
+def combine_full_rescan(curve_list, step):
+    """``_combine`` as it was: every app rescanned on every grant."""
+    num_points = max(c.num_points for c in curve_list)
+    allocs = [0.0] * len(curve_list)
+    current = [c.misses_at(0.0) for c in curve_list]
+    combined = np.empty(num_points, dtype=float)
+    combined[0] = sum(current)
+    granted = 0
+    while granted < num_points - 1:
+        remaining = num_points - 1 - granted
+        best_app, best_util, best_k = -1, -1.0, 1
+        for i, curve in enumerate(curve_list):
+            best_util, idx, _ = replay_records(
+                horizon_scan(curve, allocs[i], remaining, step), best_util
+            )
+            if idx >= 0:
+                best_app, best_k = i, idx + 1
+        if best_app < 0 or best_util <= 0:
+            combined[granted + 1:] = combined[granted]
+            break
+        for _ in range(best_k):
+            allocs[best_app] += step
+            current[best_app] = curve_list[best_app].misses_at(
+                allocs[best_app]
+            )
+            granted += 1
+            combined[granted] = sum(current)
+    return combined
+
+
+class TestCombineRescan:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.lists(st.floats(0.0, 50.0), min_size=2, max_size=40),
+            min_size=1, max_size=5,
+        ),
+        st.sampled_from([0.125, 0.5]),
+    )
+    def test_rescanning_the_granted_app_only_is_exact(self, rows, step):
+        """Curves of different lengths, flats, cliffs and ties."""
+        curves = [MissCurve(row, step) for row in rows]
+        got = misscurve._combine(curves, step).values
+        want = MissCurve(combine_full_rescan(curves, step), step).values
+        assert got.tobytes() == want.tobytes()
+
+
 def make_vm(tenant_id, lc_app, batch):
     return TenantVM(
         tenant_id=tenant_id,
